@@ -64,18 +64,36 @@ class BSeq(Element):
                 out = vsub(out, vscale(a, self.datum.simple_root(self.iota(k))))
         return out
 
-    def _h(self, i: int, k: int) -> int:
-        # i-pairing of the weight -a_k alpha_{iota(k)} sitting at position k
-        return -self.entries[k - 1] * self.datum.cartan[i - 1][self.iota(k) - 1]
+    @classmethod
+    def _derived(cls, datum: RootDatum, entries: tuple[int, ...], offset: Coords) -> "BSeq":
+        """The result of e_i or f_i on a validated sequence.
+
+        Its entries are nonnegative and its offset is the validated one it came
+        from, so only trailing zeros need trimming; the public constructor
+        keeps every check for outside input.
+        """
+        while entries and entries[-1] == 0:
+            entries = entries[:-1]
+        x = object.__new__(cls)
+        object.__setattr__(x, "datum", datum)
+        object.__setattr__(x, "entries", entries)
+        object.__setattr__(x, "offset", offset)
+        return x
 
     def _brackets(self, i: int) -> list[tuple[int, int]]:
         """(position, B(position)) for the stored positions of color i."""
+        row = self.datum.cartan[i - 1]
+        n = self.datum.n
+        ent = self.entries
         out = []
         suffix = 0
-        for k in range(len(self.entries), 0, -1):
-            if self.iota(k) == i:
-                out.append((k, self.entries[k - 1] - suffix))
-            suffix += self._h(i, k)
+        for k in range(len(ent), 0, -1):
+            a = ent[k - 1]
+            color = (k - 1) % n
+            if color == i - 1:
+                out.append((k, a - suffix))
+            # h_k, the i-pairing of the weight -a_k alpha_{iota(k)} at position k
+            suffix -= a * row[color]
         out.reverse()
         return out
 
@@ -84,9 +102,12 @@ class BSeq(Element):
         return max(0, max((b for _, b in br), default=0))
 
     def phi(self, i: int) -> int:
-        val = self.eps(i) + self.datum.pair(self.wt(), i)
-        assert val.denominator == 1
-        return int(val)
+        # <wt, alpha_i^vee> = <offset, alpha_i^vee> - sum_k a_k a_{i, iota(k)};
+        # the offset pairing is an integer because the offset is integral
+        row = self.datum.cartan[i - 1]
+        n = self.datum.n
+        drop = sum(a * row[k % n] for k, a in enumerate(self.entries))
+        return self.eps(i) + int(self.datum.pair(self.offset, i)) - drop
 
     def e(self, i: int) -> "BSeq | None":
         br = self._brackets(i)
@@ -98,10 +119,9 @@ class BSeq(Element):
         k = max(k for k, b in br if b == best)
         ent = list(self.entries)
         ent[k - 1] -= 1
-        return BSeq(self.datum, tuple(ent), self.offset)
+        return BSeq._derived(self.datum, tuple(ent), self.offset)
 
     def f(self, i: int) -> "BSeq":
-        n = self.datum.n
         # P and B share maximizers; the virtual tail position has B = 0
         br = self._brackets(i)
         best = max(0, max((b for _, b in br), default=0))
@@ -116,7 +136,7 @@ class BSeq(Element):
         while len(ent) < k:
             ent.append(0)
         ent[k - 1] += 1
-        return BSeq(self.datum, tuple(ent), self.offset)
+        return BSeq._derived(self.datum, tuple(ent), self.offset)
 
     def payload(self) -> object:
         out = {"model": "bseq",

@@ -76,11 +76,11 @@ class FormalCharacter:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FormalCharacter)
-                and self.datum.name == other.datum.name
+                and self.datum == other.datum
                 and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.datum.name, tuple(sorted(self.terms.items()))))
+        return hash((self.datum, tuple(sorted(self.terms.items()))))
 
     def __add__(self, other: "FormalCharacter") -> "FormalCharacter":
         out = dict(self.terms)

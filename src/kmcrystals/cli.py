@@ -43,6 +43,16 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def _depth(text: str) -> int:
+    try:
+        depth = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid depth {text!r}") from None
+    if depth < 0:
+        raise argparse.ArgumentTypeError(f"depth must be nonnegative, got {depth}")
+    return depth
+
+
 def _add_datum(sp) -> None:
     g = sp.add_mutually_exclusive_group(required=True)
     g.add_argument("--preset", help='built-in datum, e.g. "A3" or "GL3"')
@@ -69,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--v", default="", help='reduced word, e.g. "2" or "2,1,3,2" ("e" = identity)')
     d.add_argument("--w", default="", help="reduced word")
     d.add_argument("--mode", choices=("finite", "infinity"), default="finite")
-    d.add_argument("--depth", type=int, help="enumeration window for the infinity mode")
+    d.add_argument("--depth", type=_depth, help="enumeration window for the infinity mode")
     d.add_argument("--format", choices=("table", "json"), default="table")
     d.add_argument("--out", help="write output to this file instead of stdout")
     d.add_argument("--seed", type=int, help="recorded in the output metadata")
@@ -83,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--all-vw", action="store_true",
                    help="sweep every ordered pair (v, w) of the full Weyl group")
     c.add_argument("--mode", choices=("finite", "infinity"), default="finite")
-    c.add_argument("--depth", type=int)
+    c.add_argument("--depth", type=_depth)
     c.add_argument("--format", choices=("table", "json"), default="table")
     c.add_argument("--out")
     c.add_argument("--seed", type=int)
@@ -93,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--lambda", dest="lam", help="needed in the finite mode")
     g.add_argument("--w", default="")
     g.add_argument("--mode", choices=("finite", "infinity"), default="finite")
-    g.add_argument("--depth", type=int)
+    g.add_argument("--depth", type=_depth)
     g.add_argument("--format", choices=("dot", "json"), default="dot")
     g.add_argument("--out")
     g.add_argument("--seed", type=int)

@@ -425,18 +425,22 @@ def component_within(x: Element, xset: CrystalSet) -> CrystalSet:
                       e_stable=xset.e_stable)
 
 
+def string_top(x: Element, i: int) -> Element:
+    """e_i^max x, the top of the i-string through x."""
+    while True:
+        up = x.e(i)
+        if up is None:
+            return x
+        x = up
+
+
 def i_string(x: Element, i: int, *, window: int = 200):
     """The i-string through x, from its top downward.
 
     Returns (nodes, truncated): at most eps_i(x) raising steps to the top,
     then lowering steps until null or until `window` nodes were collected.
     """
-    top = x
-    while True:
-        up = top.e(i)
-        if up is None:
-            break
-        top = up
+    top = string_top(x, i)
     nodes = [top]
     cur = top
     truncated = False
@@ -516,12 +520,7 @@ def is_extremal(xset: CrystalSet, *, membership=None, tail_all_in=None,
 
     for x in xset.elements:
         for i in range(1, datum.n + 1):
-            top = x
-            while True:
-                up = top.e(i)
-                if up is None:
-                    break
-                top = up
+            top = string_top(x, i)
             skid = (top.skey(), i)
             if skid in seen_strings:
                 continue

@@ -17,8 +17,14 @@ u(b, v) whose Demazure crystal matches the component.
 
 All set comparisons in the infinite mode happen inside matched depth windows;
 enumeration by depth is exact (truncating the true set and truncating the
-search commute), so the only window-sensitive step is recognizing y, which is
-therefore re-verified one layer deeper and widened on instability.
+search commute).  Membership in B_w(infinity) needs no window at all: by
+Kashiwara's string property (Duke Math. J. 71, 1993) a Demazure crystal is
+e-stable and meets each i-string in nothing, its top alone, or the whole
+string, so x lies in B_w exactly when peeling a reduced word (i_1, ..., i_k)
+of w from the left, applying e_{i_1}^max, then e_{i_2}^max, ..., then
+e_{i_k}^max, returns the highest element (`WindowedClosure.contains`).  The
+only window-sensitive step is therefore recognizing y, which is re-verified
+one layer deeper and widened on instability.
 """
 
 from __future__ import annotations
@@ -29,8 +35,8 @@ from . import binfinity
 from .binfinity import binf_top
 from .crystals import (CrystalSet, Element, MismatchWitness, TensorPair,
                        is_extremal, match_highest_weight, primitive_elements,
-                       product_set, set_from_elements, t_closure,
-                       t_word_closure)
+                       product_set, set_from_elements, string_top,
+                       t_closure, t_word_closure)
 from .paths import straight_path
 from .rootdata import (Coords, RootDatum, WeylElement, Word, check_reduced,
                        in_parabolic, min_coset_rep, rational_str, vadd,
@@ -147,14 +153,23 @@ def criterion_infinity(datum: RootDatum, v: WeylElement, lam: Coords, w: WeylEle
 
 
 class WindowedClosure:
-    """A Demazure set with on-demand deepening, used as a membership oracle.
+    """A Demazure set B_word(seed) as a membership oracle, plus its windows.
 
-    Holds T_word({seed}) enumerated to a growing depth window; `contains`
-    extends the window as far as the queried element's depth, so membership
-    is decided exactly at any depth.
+    `contains` decides membership exactly by string peeling, with no
+    enumeration: for word = (i_1, ..., i_k), apply e_{i_1}^max first, then
+    e_{i_2}^max, and so on through e_{i_k}^max, and test whether the result is
+    the seed.  This is exact because a Demazure crystal is e-stable and meets
+    every i-string in nothing, the top alone, or the whole string
+    (Kashiwara's string property, Duke Math. J. 71, 1993): x lies in
+    T_i S for an e_i-stable S exactly when e_i^max x lies in S, and x lies in
+    T_i {seed} exactly when e_i^max x is the seed.  The seed must therefore
+    be a highest-weight element.  `ensure` and `set_at` enumerate the set to
+    a depth window when the elements themselves are needed.
     """
 
     def __init__(self, seed: Element, word: Word):
+        if any(seed.e(i) is not None for i in range(1, seed.datum.n + 1)):
+            raise ValueError("string peeling needs a highest-weight seed")
         self.seed = seed
         self.word = tuple(word)
         self.top_wt = seed.wt()
@@ -176,13 +191,9 @@ class WindowedClosure:
         return self._set if self._window == depth else self._set.restricted(depth)
 
     def contains(self, x: Element) -> bool:
-        try:
-            d = self.datum.weight_drop(self.top_wt, x.wt())
-        except ValueError:
-            return False
-        self.ensure(d)
-        assert self._set is not None
-        return x in self._set.index
+        for i in self.word:
+            x = string_top(x, i)
+        return x == self.seed
 
 
 # ---------------------------------------------------------------------------
@@ -650,13 +661,7 @@ def check_equivalence(datum: RootDatum, v: WeylElement, lam: Coords,
             # string top settles it.
             if x.left.phi(i) > x.right.eps(i):
                 return None
-            t2 = x.right
-            while True:
-                up = t2.e(i)
-                if up is None:
-                    break
-                t2 = up
-            return oracle.contains(t2.f(i))
+            return oracle.contains(string_top(x.right, i).f(i))
 
     ext = is_extremal(xprod, membership=member, tail_all_in=tail)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .crystals import Element
 from .rootdata import Coords, RootDatum, rational_str, vadd, vsub, vscale, vzero
@@ -62,10 +63,17 @@ class PLPath(Element):
     def wt(self) -> Coords:
         return self.vertices[-1]
 
-    def _heights(self, i: int) -> list[Fraction]:
-        return [self.datum.pair(v, i) for v in self.vertices]
+    @cached_property
+    def _height_cache(self) -> dict[int, tuple[Fraction, ...]]:
+        return {}
 
-    def _min_height(self, i: int) -> tuple[list[Fraction], int]:
+    def _heights(self, i: int) -> tuple[Fraction, ...]:
+        h = self._height_cache.get(i)
+        if h is None:
+            h = self._height_cache[i] = tuple(self.datum.pair(v, i) for v in self.vertices)
+        return h
+
+    def _min_height(self, i: int) -> tuple[tuple[Fraction, ...], int]:
         h = self._heights(i)
         m = min(h)
         if m.denominator != 1:

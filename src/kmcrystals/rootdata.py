@@ -176,6 +176,16 @@ class RootDatum:
     sym: tuple[Fraction, ...]
     fundamentals: tuple[Coords, ...] | None = field(default=None, compare=False)
 
+    # Every crystal element hashes its datum, so the hash of the exact
+    # Fraction tables is computed once, over the fields `__eq__` compares.
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.name, self.n, self.m, self.cartan, self.roots,
+                     self.pairing, self.sym))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     # -- basic linear data ---------------------------------------------------
 
     def simple_root(self, i: int) -> Coords:
@@ -233,15 +243,28 @@ class RootDatum:
             back = vadd(back, vscale(cj, self.roots[j]))
         return c if back == delta else None
 
+    @cached_property
+    def _drops(self) -> dict[Coords, int]:
+        return {}
+
     def weight_drop(self, top: Coords, mu: Coords) -> int:
-        """Height of top - mu, which must be a nonnegative integer root-lattice vector."""
-        c = self.root_coords(vsub(top, mu))
+        """Height of top - mu, which must be a nonnegative integer root-lattice vector.
+
+        Valid differences are memoised; an invalid one is solved and rejected
+        again on every query.
+        """
+        delta = vsub(top, mu)
+        drop = self._drops.get(delta)
+        if drop is not None:
+            return drop
+        c = self.root_coords(delta)
         if c is None:
             raise ValueError("weight difference lies outside the root lattice span")
         total = sum(c, Fraction(0))
         if total.denominator != 1 or any(x.denominator != 1 for x in c):
             raise ValueError("weight difference is not an integral root combination")
-        return int(total)
+        drop = self._drops[delta] = int(total)
+        return drop
 
     # -- Weyl group ----------------------------------------------------------
 

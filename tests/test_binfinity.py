@@ -13,6 +13,7 @@ from kmcrystals.rootdata import (
     RootDatum,
     bruhat_leq,
     preset,
+    validate_root_datum,
     vec,
     vscale,
     vzero,
@@ -21,6 +22,10 @@ from kmcrystals.rootdata import (
 
 A2 = preset("A2")
 A3 = preset("A3")
+
+# fundamental-weight coordinates: alpha_j is column j of the Cartan matrix
+G2 = validate_root_datum("G2", 2, 2, [[2, -1], [-3, 2]],
+                         roots=[(2, -3), (-1, 2)], pairing=[(1, 0), (0, 1)])
 
 NEG = -(10 ** 9)  # stand-in for minus infinity on foreign colors
 
@@ -109,6 +114,33 @@ def test_lowering_is_total():
             assert nxt is not None
             assert nxt.e(i) == b
             b = nxt
+
+
+def test_derived_sequences_equal_validated_ones():
+    # e and f build their results without the constructor's checks; the
+    # values must be exactly those the checked constructor builds
+    rng = random.Random(11)
+    for top in (binf_top(A3), binf_top(A3, vec((1, 0, 2)))):
+        b = top
+        for _ in range(300):
+            i = rng.randrange(1, 4)
+            nxt = b.f(i) if rng.random() < 0.6 else b.e(i)
+            if nxt is None:
+                continue
+            fresh = BSeq(A3, nxt.entries, nxt.offset)
+            assert nxt == fresh and hash(nxt) == hash(fresh)
+            assert not nxt.entries or nxt.entries[-1] != 0
+            b = nxt
+
+
+@pytest.mark.parametrize("datum", [A3, G2], ids=["A3", "G2"])
+def test_integer_phi_matches_weight_pairing(datum):
+    nu = vec((1,) * datum.m)
+    for top in (binf_top(datum), binf_top(datum, nu)):
+        xset = enumerate_from([top], top.wt(), window=5, check_axioms=False)
+        for x in xset:
+            for i in range(1, datum.n + 1):
+                assert x.phi(i) == x.eps(i) + datum.pair(x.wt(), i)
 
 
 def _partition_count(roots, target):

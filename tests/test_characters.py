@@ -26,7 +26,7 @@ from kmcrystals.characters import (
 from kmcrystals.crystals import enumerate_from
 from kmcrystals.demazure import demazure_set
 from kmcrystals.paths import straight_path
-from kmcrystals.rootdata import preset, vec, weyl_group_elements
+from kmcrystals.rootdata import datum_from_json, preset, vec, weyl_group_elements
 
 A2 = preset("A2")
 A3 = preset("A3")
@@ -51,6 +51,22 @@ def test_character_arithmetic():
     assert 3 * a == a + a + a
     assert a.dimension() == 1 and prod.dimension() == 4
     assert a != b
+
+
+def test_characters_over_same_named_data_differ():
+    # Both data are named "custom" and share the pairing; only the Cartan
+    # matrix, and with it the simple roots, tells them apart.
+    def custom(cartan):
+        return datum_from_json({"n": 2, "m": 2, "cartan": cartan, "roots": cartan,
+                                "pairing": [[1, 0], [0, 1]]})
+
+    a2, b2 = custom([[2, -1], [-1, 2]]), custom([[2, -2], [-1, 2]])
+    assert a2.name == b2.name == "custom"
+    x = FormalCharacter.monomial(a2, vec((1, 0)))
+    y = FormalCharacter.monomial(b2, vec((1, 0)))
+    assert x != y and len({x, y}) == 2
+    again = FormalCharacter.monomial(custom([[2, -1], [-1, 2]]), vec((1, 0)))
+    assert x == again and hash(x) == hash(again)
 
 
 def test_demazure_op_closed_form():

@@ -115,6 +115,12 @@ def test_config_errors_exit_one(capsys, tmp_path):
         ("decompose", "--preset", "A2", "--lambda", "1/2,0", "--mu", "ω1"),
         ("graph", "--preset", "A2", "--lambda", "ω1", "--mode", "bogus"),
         ("graph", "--datum", str(tmp_path / "missing.json"), "--lambda", "ω1"),
+        ("decompose", "--preset", "A2", "--lambda", "ω1", "--w", "1",
+         "--mode", "infinity", "--depth", "-3"),          # negative depth
+        ("check", "--preset", "A2", "--lambda", "ω1", "--mode", "infinity",
+         "--depth", "-1"),
+        ("graph", "--preset", "A2", "--w", "1", "--mode", "infinity",
+         "--depth", "-2"),
     ]
     for argv in cases:
         code, _, err = run(capsys, *argv)

@@ -3,7 +3,7 @@
 import pytest
 
 from kmcrystals.binfinity import BSeq, binf_top, demazure_infinity
-from kmcrystals.crystals import set_from_elements
+from kmcrystals.crystals import enumerate_from, set_from_elements, t_word_closure
 from kmcrystals.demazure import (
     CriterionFails,
     T_op,
@@ -22,7 +22,9 @@ from kmcrystals.demazure import (
 from kmcrystals.paths import straight_path
 from kmcrystals.rootdata import (
     WordNotReduced,
+    check_reduced,
     preset,
+    validate_root_datum,
     vec,
     weyl_group_elements,
 )
@@ -131,6 +133,47 @@ def test_windowed_closure_membership():
     assert not oracle.contains(BSeq(A2, (1, 1)))  # that one needs T_2 T_1
     # weights outside the cone resolve to a clean no
     assert not oracle.contains(BSeq(A2, (1,), vec((1, 0))))
+
+
+def _rank2(name, cartan):
+    # fundamental-weight coordinates: alpha_j is column j of the Cartan matrix
+    return validate_root_datum(name, 2, 2, cartan,
+                               roots=[(cartan[0][j], cartan[1][j]) for j in (0, 1)],
+                               pairing=[(1, 0), (0, 1)])
+
+
+# untwisted affine A1^(1) on (Lambda_0, Lambda_1, delta)-style coordinates;
+# the third coordinate keeps the two simple roots independent
+AFFINE_A1 = validate_root_datum("A1^(1)", 2, 3, [[2, -2], [-2, 2]],
+                                roots=[(2, -2, 1), (-2, 2, 0)],
+                                pairing=[(1, 0, 0), (0, 1, 0)])
+
+
+@pytest.mark.parametrize("datum, words", [
+    (A2, None),
+    (A3, None),
+    (_rank2("B2", [[2, -2], [-1, 2]]), None),
+    (_rank2("G2", [[2, -1], [-3, 2]]), None),
+    (AFFINE_A1, [(), (1,), (2, 1), (1, 2, 1), (2, 1, 2, 1)]),
+], ids=["A2", "A3", "B2", "G2", "affine-A1"])
+def test_peeling_matches_enumeration(datum, words):
+    # String peeling along every reduced word against the enumerated
+    # T-closure, on all of B(infinity) to depth 5.  Words None means every
+    # element of the finite Weyl group.
+    top = binf_top(datum)
+    ambient = enumerate_from([top], top.wt(), window=5, check_axioms=False)
+    if words is None:
+        elements = weyl_group_elements(datum)
+    else:
+        elements = [check_reduced(datum, word) for word in words]
+    for w in elements:
+        enumerated = set(t_word_closure([top], w.rword, top.wt(), window=5)[0])
+        for word in _words(w):
+            oracle = WindowedClosure(top, word)
+            for x in ambient:
+                assert oracle.contains(x) == (x in enumerated), (word, x.entries)
+    with pytest.raises(ValueError):  # peeling needs a highest-weight seed
+        WindowedClosure(top.f(1), (1,))
 
 
 def test_recognize_three_chain():

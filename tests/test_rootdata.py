@@ -147,11 +147,22 @@ def test_root_coords_and_weight_drop():
     mu = tuple(x - 1 * a - 2 * b for x, a, b in
                zip(lam, A2.simple_root(1), A2.simple_root(2)))
     assert A2.root_coords(vec(tuple(a - b for a, b in zip(lam, mu)))) == (1, 2)
-    assert A2.weight_drop(lam, mu) == 3
-    with pytest.raises(ValueError):  # omega_1 is a fractional root combination
-        A2.weight_drop(lam, vec((0, 1)))
-    with pytest.raises(ValueError):  # e_1 is outside the GL root span
-        GL3.weight_drop(vec((1, 1, 0)), vec((0, 1, 0)))
+    for _ in range(2):  # drops are memoised; a repeated query answers the same
+        assert A2.weight_drop(lam, mu) == 3
+        with pytest.raises(ValueError):  # omega_1 is a fractional root combination
+            A2.weight_drop(lam, vec((0, 1)))
+        with pytest.raises(ValueError):  # e_1 is outside the GL root span
+            GL3.weight_drop(vec((1, 1, 0)), vec((0, 1, 0)))
+
+
+def test_equal_data_hash_equal():
+    a, b = preset("A3"), preset("A3")
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert {a: "A3"}[b] == "A3"
+    # fundamental weights take no part in equality, nor in the hash
+    bare = validate_root_datum("A3", 3, 3, a.cartan, a.roots, a.pairing)
+    assert bare == a and hash(bare) == hash(a)
+    assert preset("A3") != preset("A2")
 
 
 def test_positive_roots():
