@@ -2,21 +2,21 @@
 tensor product decompositions, extremality checks, and character identities,
 all in exact rational arithmetic."""
 
-from .binfinity import BSeq, binf_top, demazure_infinity
+from .binfinity import BSeq, binf_top
 from .characters import (FormalCharacter, NonIntegralPairing, NotInSpan,
                          TruncatedSet, char_of_set, composition_pair,
                          demazure_character, demazure_op, demazure_word_op,
                          is_gl_like, key_expand, key_polynomial,
                          verify_demazure_character, verify_key_positivity,
                          verify_product_identity)
-from .crystals import (CrystalSet, Element, ElementNotInSet, ExtremalityVerdict,
-                       MismatchWitness, TensorPair, component_within,
-                       enumerate_from, i_string, is_extremal, is_primitive_pair,
-                       match_highest_weight, primitive_elements, product_set,
-                       set_from_elements, t_closure, t_word_closure, tensor)
+from .crystals import (CrystalSet, Element, ExtremalityVerdict, MismatchWitness,
+                       TensorPair, enumerate_from, i_string, is_extremal,
+                       is_primitive_pair, match_highest_weight,
+                       primitive_elements, product_set, set_from_elements,
+                       t_closure, t_word_closure, tensor)
 from .demazure import (ClosureProductRecord, ComponentReport, CriterionFails,
                        DecompositionReport, EquivalenceRecord,
-                       EquivalenceViolation, T_op, TopNotInSet,
+                       EquivalenceViolation, TopNotInSet,
                        VerificationMismatch, WindowTooSmall, WindowedClosure,
                        check_equivalence, closure_product_check,
                        criterion_finite, criterion_infinity, decompose_tensor,
@@ -35,18 +35,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BSeq", "ClosureProductRecord", "ComponentReport", "CriterionFails",
-    "CrystalSet", "DecompositionReport", "Element", "ElementNotInSet",
+    "CrystalSet", "DecompositionReport", "Element",
     "EquivalenceRecord", "EquivalenceViolation", "ExtremalityVerdict",
     "FormalCharacter", "MismatchWitness", "NonIntegralPairing",
     "NonIntegralPath", "NotDominantIntegral", "NotGCM", "NotInSpan",
     "NotSymmetrizable", "PLPath", "PairingInconsistent", "RootDatum",
-    "T_op", "TensorPair", "TopNotInSet", "TruncatedSet",
+    "TensorPair", "TopNotInSet", "TruncatedSet",
     "VerificationMismatch", "WeylElement", "WindowTooSmall",
     "WindowedClosure", "WordNotReduced", "binf_top", "bruhat_leq",
     "char_of_set", "check_equivalence", "check_reduced",
-    "closure_product_check", "component_within", "composition_pair",
+    "closure_product_check", "composition_pair",
     "criterion_finite", "criterion_infinity", "datum_from_json",
-    "decompose_tensor", "demazure_character", "demazure_infinity",
+    "decompose_tensor", "demazure_character",
     "demazure_op", "demazure_set", "demazure_word_op", "enumerate_from",
     "extremal_element", "i_string", "in_parabolic", "is_extremal",
     "is_gl_like", "is_primitive_pair", "key_expand", "key_polynomial",

@@ -153,16 +153,3 @@ def binf_top(datum: RootDatum, offset: Coords | None = None) -> BSeq:
     """b_infinity, or the highest element of B(infinity; offset)."""
     return BSeq(datum, (), offset if offset is not None else vzero(datum.m))
 
-
-def demazure_infinity(datum: RootDatum, w, depth: int) -> "CrystalSet":
-    """B_w(infinity) cut at the given depth (height of the weight drop).
-
-    Lowering operators never vanish on B(infinity), so for w != e this set is
-    infinite and the result is always flagged truncated; the cut is exact in
-    the sense that every element of the true set at depth <= `depth` appears.
-    """
-    from .crystals import set_from_elements, t_word_closure
-    seed = binf_top(datum)
-    els, cut = t_word_closure([seed], w.rword, seed.wt(), window=depth)
-    return set_from_elements(els, seed.wt(), window=depth, truncated=cut,
-                             e_stable=True)

@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 
-from .binfinity import demazure_infinity
+from .binfinity import binf_top
 from .characters import NotInSpan, verify_key_positivity
 from .demazure import (CriterionFails, EquivalenceViolation,
                        VerificationMismatch, WindowTooSmall, check_equivalence,
@@ -261,7 +261,7 @@ def _run_graph(args) -> int:
     if args.mode == "infinity":
         if args.depth is None:
             raise ValueError("--mode infinity requires --depth")
-        xset = demazure_infinity(datum, w, args.depth)
+        xset = demazure_set(binf_top(datum), w, window=args.depth)
     else:
         if args.lam is None:
             raise ValueError("--mode finite requires --lambda")

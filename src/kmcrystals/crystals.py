@@ -3,27 +3,29 @@
 Every model (paths, the B(infinity) sequences, tensor pairs) implements the
 same small interface: weight, string statistics eps_i/phi_i, and the raising
 and lowering operators e_i/f_i returning an element or None.  On top of that
-this module provides enumerated crystal sets with their edges, connected
-components, i-strings, extremality and primitivity tests, and the
-highest-weight matching used to certify isomorphisms.
+this module provides enumerated crystal sets with their edges, i-strings,
+extremality and primitivity tests, and the highest-weight matching used to
+certify isomorphisms.
+
+There is one crystal-graph walk, `enumerate_from`: breadth-first along f (and
+e if asked), restricted to the members of a set when a test is given, and cut
+at a depth window.  It builds whole crystals and the components of tensor
+products.  `set_from_elements` and `product_set` package element lists found
+otherwise and, like it, store exactly the f-edges between listed elements.
 
 Depth is always the height of the weight drop from the ambient top: each f
-step increases it by exactly one, so truncating an enumeration at depth D
-yields precisely the true set cut at D.
+step increases it by exactly one and each e step lowers it by one, so the
+walk computes weight drops only for its seeds, and truncating an enumeration
+at depth D yields precisely the true set cut at D.
 """
 
 from __future__ import annotations
 
-import json
 from abc import ABC, abstractmethod
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .rootdata import Coords, RootDatum, rational_str, vadd
-
-
-class ElementNotInSet(ValueError):
-    """An operation was asked about an element outside the given set."""
 
 
 class Element(ABC):
@@ -142,7 +144,6 @@ class CrystalSet:
     window: int | None = None
     truncated: bool = False
     e_stable: bool = False
-    meta: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -175,21 +176,6 @@ class CrystalSet:
             out[d] = out.get(d, 0) + 1
         return dict(sorted(out.items()))
 
-    def restricted(self, depth: int) -> "CrystalSet":
-        """The sub-set of elements at depth <= depth, with inherited edges."""
-        keep = [i for i, d in enumerate(self.depths) if d <= depth]
-        keepset = set(keep)
-        remap = {old: new for new, old in enumerate(keep)}
-        els = [self.elements[i] for i in keep]
-        deps = [self.depths[i] for i in keep]
-        edges = {(remap[a], i): remap[b] for (a, i), b in self.edges.items()
-                 if a in keepset and b in keepset}
-        cut = len(keep) < len(self.elements) or self.truncated
-        return CrystalSet(self.datum, self.top_wt, els,
-                          {x: k for k, x in enumerate(els)}, deps, edges,
-                          window=depth, truncated=cut, e_stable=self.e_stable,
-                          meta=dict(self.meta))
-
     def to_json(self) -> dict:
         els = [{"id": i, "wt": [rational_str(x) for x in b.wt()], "payload": b.payload()}
                for i, b in enumerate(self.elements)]
@@ -199,7 +185,6 @@ class CrystalSet:
                 "size": len(self.elements),
                 "window": self.window,
                 "truncated": self.truncated}
-        meta.update(self.meta)
         return {"elements": els, "edges": edges, "meta": meta}
 
     def to_dot(self) -> str:
@@ -236,12 +221,17 @@ def _axiom_check(x: Element, i: int, y: Element, direction: str) -> None:
 
 
 def enumerate_from(seeds, top_wt: Coords, *, window: int | None = None,
-                   with_e: bool = False, check_axioms: bool = True) -> CrystalSet:
-    """Breadth-first closure of `seeds` under every f_i (and e_i if asked).
+                   with_e: bool = False, member=None,
+                   check_axioms: bool = True) -> CrystalSet:
+    """Breadth-first walk from `seeds` along every f_i (and e_i if asked).
 
-    `seeds` is a list of elements; depths are measured from `top_wt`.  When
-    `window` is given, elements deeper than it are pruned and the result is
-    flagged truncated.  Axioms C1-C3 are verified on everything enumerated.
+    Depths are measured from `top_wt`: the seeds' come from the weight drop,
+    every other element's is its parent's plus one (f) or minus one (e).
+    `member(x) -> bool`, when given, admits only members; the seeds are taken
+    as members.  An f-step past `window` is not taken, and the result is
+    flagged truncated when the element it reaches is a member.  The stored
+    edges are exactly the f-edges inside the result.  Axioms C1-C3 are
+    verified on everything the walk produces unless `check_axioms` is off.
     """
     seeds = list(seeds)
     datum = seeds[0].datum
@@ -251,49 +241,56 @@ def enumerate_from(seeds, top_wt: Coords, *, window: int | None = None,
     edges: dict[tuple[int, int], int] = {}
     truncated = False
 
-    def admit(x: Element) -> int:
-        idx = index.get(x)
-        if idx is None:
-            idx = len(elements)
-            index[x] = idx
-            elements.append(x)
-            depths.append(datum.weight_drop(top_wt, x.wt()))
-            if check_axioms:
-                x.check_c1()
-        return idx
+    def admit(x: Element, d: int) -> int:
+        index[x] = len(elements)
+        elements.append(x)
+        depths.append(d)
+        if check_axioms:
+            x.check_c1()
+        return index[x]
 
-    queue = [admit(s) for s in seeds]
+    for s in seeds:
+        if s not in index:
+            admit(s, datum.weight_drop(top_wt, s.wt()))
     pos = 0
-    while pos < len(queue):
-        cur = queue[pos]
-        pos += 1
-        x = elements[cur]
+    while pos < len(elements):
+        x, d = elements[pos], depths[pos]
         for i in range(1, datum.n + 1):
             y = x.f(i)
             if y is not None:
                 if check_axioms:
                     _axiom_check(x, i, y, "f")
-                d = depths[cur] + 1
-                if window is not None and d > window:
-                    truncated = True
-                else:
-                    known = y in index
-                    idx = admit(y)
-                    edges[(cur, i)] = idx
-                    if not known:
-                        queue.append(idx)
+                idx = index.get(y)
+                if idx is None and (member is None or member(y)):
+                    if window is not None and d + 1 > window:
+                        truncated = True
+                    else:
+                        idx = admit(y, d + 1)
+                if idx is not None:
+                    edges[(pos, i)] = idx
             if with_e:
                 z = x.e(i)
                 if z is not None:
                     if check_axioms:
                         _axiom_check(x, i, z, "e")
-                    known = z in index
-                    idx = admit(z)
-                    edges[(idx, i)] = cur
-                    if not known:
-                        queue.append(idx)
+                    # its f_i-edge to x is stored when z itself is walked
+                    if z not in index and (member is None or member(z)):
+                        admit(z, d - 1)
+        pos += 1
     return CrystalSet(datum, top_wt, elements, index, depths, edges,
                       window=window, truncated=truncated)
+
+
+def _f_edges(elements: list[Element], index: dict[Element, int],
+             n: int) -> dict[tuple[int, int], int]:
+    """The f-edges between listed elements, keyed (source, color) -> target."""
+    edges = {}
+    for idx, x in enumerate(elements):
+        for i in range(1, n + 1):
+            y = x.f(i)
+            if y is not None and y in index:
+                edges[(idx, i)] = index[y]
+    return edges
 
 
 def set_from_elements(elements, top_wt: Coords, *, window: int | None = None,
@@ -306,16 +303,12 @@ def set_from_elements(elements, top_wt: Coords, *, window: int | None = None,
     if len(index) != len(elements):
         raise ValueError("duplicate elements")
     depths = [datum.weight_drop(top_wt, x.wt()) for x in elements]
-    edges = {}
-    for idx, x in enumerate(elements):
-        if check_axioms:
+    if check_axioms:
+        for x in elements:
             x.check_c1()
-        for i in range(1, datum.n + 1):
-            y = x.f(i)
-            if y is not None and y in index:
-                edges[(idx, i)] = index[y]
-    return CrystalSet(datum, top_wt, elements, index, depths, edges,
-                      window=window, truncated=truncated, e_stable=e_stable)
+    return CrystalSet(datum, top_wt, elements, index, depths,
+                      _f_edges(elements, index, datum.n), window=window,
+                      truncated=truncated, e_stable=e_stable)
 
 
 def t_closure(xs, i: int, top_wt: Coords, *, window: int | None = None):
@@ -370,7 +363,6 @@ def product_set(a: CrystalSet, b: CrystalSet, *, window: int | None = None) -> C
     that stay inside the product.  The result is complete to `window` when
     both factors are complete to it.
     """
-    datum = a.datum
     top = vadd(a.top_wt, b.top_wt)
     pairs = []
     for x, dx in zip(a.elements, a.depths):
@@ -382,47 +374,18 @@ def product_set(a: CrystalSet, b: CrystalSet, *, window: int | None = None) -> C
     elements = [p for _, p in pairs]
     depths = [d for d, _ in pairs]
     index = {x: i for i, x in enumerate(elements)}
-    edges = {}
-    for idx, x in enumerate(elements):
-        for i in range(1, datum.n + 1):
-            y = x.f(i)
-            if y is not None and y in index:
-                edges[(idx, i)] = index[y]
     truncated = a.truncated or b.truncated or (
         window is not None and any(da + db > window
                                    for da in set(a.depths) for db in set(b.depths)))
-    out = CrystalSet(datum, top, elements, index, depths, edges,
-                     window=window, truncated=truncated)
-    out.e_stable = a.e_stable and b.e_stable
-    return out
+    return CrystalSet(a.datum, top, elements, index, depths,
+                      _f_edges(elements, index, a.datum.n), window=window,
+                      truncated=truncated, e_stable=a.e_stable and b.e_stable)
 
 
-def component_within(x: Element, xset: CrystalSet) -> CrystalSet:
-    """The connected component of x in the crystal graph restricted to `xset`."""
-    if x not in xset.index:
-        raise ElementNotInSet("element is not in the given set")
-    fwd: dict[int, list[int]] = {}
-    back: dict[int, list[int]] = {}
-    for (a, _i), b in xset.edges.items():
-        fwd.setdefault(a, []).append(b)
-        back.setdefault(b, []).append(a)
-    seen = {xset.index[x]}
-    queue = [xset.index[x]]
-    while queue:
-        cur = queue.pop()
-        for nxt in fwd.get(cur, []) + back.get(cur, []):
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    keep = sorted(seen)
-    remap = {old: new for new, old in enumerate(keep)}
-    els = [xset.elements[i] for i in keep]
-    deps = [xset.depths[i] for i in keep]
-    edges = {(remap[a], i): remap[b] for (a, i), b in xset.edges.items()
-             if a in seen and b in seen}
-    return CrystalSet(xset.datum, xset.top_wt, els, {e: k for k, e in enumerate(els)},
-                      deps, edges, window=xset.window, truncated=xset.truncated,
-                      e_stable=xset.e_stable)
+# i_string collects at most this many nodes; is_extremal walks at most this
+# many lowering steps down one string
+_STRING_CAP = 200
+_STEP_CAP = 10_000
 
 
 def string_top(x: Element, i: int) -> Element:
@@ -434,18 +397,18 @@ def string_top(x: Element, i: int) -> Element:
         x = up
 
 
-def i_string(x: Element, i: int, *, window: int = 200):
+def i_string(x: Element, i: int):
     """The i-string through x, from its top downward.
 
     Returns (nodes, truncated): at most eps_i(x) raising steps to the top,
-    then lowering steps until null or until `window` nodes were collected.
+    then lowering steps until null or until _STRING_CAP nodes were collected.
     """
     top = string_top(x, i)
     nodes = [top]
     cur = top
     truncated = False
     while True:
-        if len(nodes) >= window:
+        if len(nodes) >= _STRING_CAP:
             truncated = cur.f(i) is not None
             break
         nxt = cur.f(i)
@@ -484,8 +447,8 @@ class ExtremalityVerdict:
         return self.status == "extremal"
 
 
-def is_extremal(xset: CrystalSet, *, membership=None, tail_all_in=None,
-                step_cap: int = 10_000) -> ExtremalityVerdict:
+def is_extremal(xset: CrystalSet, *, membership=None,
+                tail_all_in=None) -> ExtremalityVerdict:
     """Check that every i-string of the ambient meets `xset` in nothing, in a
     single top node, or entirely.
 
@@ -534,7 +497,7 @@ def is_extremal(xset: CrystalSet, *, membership=None, tail_all_in=None,
             prefix_len = 0
             broke_at: int | None = None
             resolved = False
-            while cur is not None and pos <= step_cap:
+            while cur is not None and pos <= _STEP_CAP:
                 m = member(cur)
                 if m is True:
                     if broke_at is not None:
@@ -634,6 +597,3 @@ def match_highest_weight(xset: CrystalSet, yset: CrystalSet):
         return MismatchWitness("coverage", detail="map is not injective")
     return mapping
 
-
-def payload_json(x: Element) -> str:
-    return json.dumps(x.payload(), sort_keys=True)

@@ -15,6 +15,11 @@ b_lambda (x) b for a primitive b, is recognized as a Demazure set B_y inside
 its ambient component, and the pair (y, v_min) is folded into the element
 u(b, v) whose Demazure crystal matches the component.
 
+`decompose_tensor`, `check_equivalence` and `closure_product_check` share one
+set-up, `_TensorSetup` (criterion, v_min, both factors, membership, product),
+and build every component with the one walk `crystals.enumerate_from`,
+restricted to that membership.
+
 All set comparisons in the infinite mode happen inside matched depth windows;
 enumeration by depth is exact (truncating the true set and truncating the
 search commute).  Membership in B_w(infinity) needs no window at all: by
@@ -31,12 +36,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import binfinity
 from .binfinity import binf_top
 from .crystals import (CrystalSet, Element, MismatchWitness, TensorPair,
-                       is_extremal, match_highest_weight, primitive_elements,
-                       product_set, set_from_elements, string_top,
-                       t_closure, t_word_closure)
+                       enumerate_from, is_extremal, match_highest_weight,
+                       primitive_elements, product_set, set_from_elements,
+                       string_top, t_closure, t_word_closure)
 from .paths import straight_path
 from .rootdata import (Coords, RootDatum, WeylElement, Word, check_reduced,
                        in_parabolic, min_coset_rep, rational_str, vadd,
@@ -72,12 +76,6 @@ class TopNotInSet(ValueError):
 
 # ---------------------------------------------------------------------------
 # basic Demazure sets
-
-
-def T_op(xs, i: int, top_wt: Coords, *, window: int | None = None) -> list[Element]:
-    """T_i applied to an iterable of elements; returns the closure list."""
-    out, _ = t_closure(xs, i, top_wt, window=window)
-    return out
 
 
 def demazure_set(seed: Element, w: WeylElement | None = None, *,
@@ -163,8 +161,9 @@ class WindowedClosure:
     (Kashiwara's string property, Duke Math. J. 71, 1993): x lies in
     T_i S for an e_i-stable S exactly when e_i^max x lies in S, and x lies in
     T_i {seed} exactly when e_i^max x is the seed.  The seed must therefore
-    be a highest-weight element.  `ensure` and `set_at` enumerate the set to
-    a depth window when the elements themselves are needed.
+    be a highest-weight element.  `set_at` enumerates the set to a depth
+    window when the elements themselves are needed; nothing is cached, and
+    each tensor routine asks for one window.
     """
 
     def __init__(self, seed: Element, word: Word):
@@ -172,23 +171,16 @@ class WindowedClosure:
             raise ValueError("string peeling needs a highest-weight seed")
         self.seed = seed
         self.word = tuple(word)
-        self.top_wt = seed.wt()
-        self.datum = seed.datum
-        self._window = -1
-        self._set: CrystalSet | None = None
 
-    def ensure(self, depth: int) -> None:
-        if depth > self._window:
-            els, cut = t_word_closure([self.seed], self.word, self.top_wt, window=depth)
-            self._set = set_from_elements(els, self.top_wt, window=depth,
-                                          truncated=cut, e_stable=True,
-                                          check_axioms=False)
-            self._window = depth
+    def ensure(self, depth: int) -> CrystalSet:
+        # the enumeration behind set_at; its t_word_closure is one oracle rebuild
+        top_wt = self.seed.wt()
+        els, cut = t_word_closure([self.seed], self.word, top_wt, window=depth)
+        return set_from_elements(els, top_wt, window=depth, truncated=cut,
+                                 e_stable=True, check_axioms=False)
 
     def set_at(self, depth: int) -> CrystalSet:
-        self.ensure(depth)
-        assert self._set is not None
-        return self._set if self._window == depth else self._set.restricted(depth)
+        return self.ensure(depth)
 
     def contains(self, x: Element) -> bool:
         for i in self.word:
@@ -204,7 +196,6 @@ class WindowedClosure:
 class RecognitionStats:
     states: int = 0
     dead_ends: int = 0
-    window: int | None = None
 
 
 def recognize_demazure(xset: CrystalSet, *, nu_for_coset: Coords | None = None):
@@ -258,7 +249,6 @@ def recognize_demazure(xset: CrystalSet, *, nu_for_coset: Coords | None = None):
         return best
 
     result = solve(frozenset([top]))
-    stats.window = window
     if result is None:
         return None, stats
     applied: list[int] = []
@@ -294,86 +284,16 @@ def u_from_y(y: WeylElement, v_word: Word) -> WeylElement:
 
 
 # ---------------------------------------------------------------------------
-# component builders
+# components of a tensor product
 
 
-def _component_set(top: Element, member, top_wt: Coords, *,
-                   window: int | None) -> CrystalSet:
-    """f-closure of `top` filtered by `member`, cut at `window` steps.
-
-    For a set known to decompose this is the whole connected component of
-    `top`; the partition check downstream validates exactly that.
-    """
-    datum = top.datum
-    elements = [top]
-    index = {top: 0}
-    depths = [0]
-    edges: dict[tuple[int, int], int] = {}
-    pos = 0
-    truncated = False
-    while pos < len(elements):
-        x = elements[pos]
-        for i in range(1, datum.n + 1):
-            y = x.f(i)
-            if y is None:
-                continue
-            d = depths[pos] + 1
-            if window is not None and d > window:
-                if member(y):
-                    truncated = True
-                continue
-            if y in index:
-                edges[(pos, i)] = index[y]
-                continue
-            if not member(y):
-                continue
-            index[y] = len(elements)
-            elements.append(y)
-            depths.append(d)
-            edges[(pos, i)] = index[y]
-        pos += 1
-    return CrystalSet(datum, top_wt, elements, index, depths, edges,
-                      window=window, truncated=truncated, e_stable=True)
-
-
-def _induced_set(top: Element, member, top_wt: Coords, *,
-                 window: int | None) -> CrystalSet:
-    """Connected component of `top` in the graph induced on the member set,
-    walking both e and f edges, cut at `window` f-depth.
-
-    Unlike the plain f-closure this finds elements only reachable through a
-    raising step, which matters when deciding whether a component actually is
-    a Demazure set.
-    """
-    datum = top.datum
-    seen = {top}
-    order = [top]
-    pos = 0
-    truncated = False
-    while pos < len(order):
-        x = order[pos]
-        d = datum.weight_drop(top_wt, x.wt())
-        for i in range(1, datum.n + 1):
-            y = x.f(i)
-            if y is not None and y not in seen:
-                if window is not None and d + 1 > window:
-                    if member(y):
-                        truncated = True
-                elif member(y):
-                    seen.add(y)
-                    order.append(y)
-            z = x.e(i)
-            if z is not None and z not in seen and member(z):
-                seen.add(z)
-                order.append(z)
-        pos += 1
-    return set_from_elements(order, top_wt, window=window, truncated=truncated,
-                             e_stable=True, check_axioms=False)
+# how far past its first window recognition may widen before giving up
+_MAX_EXTRA = 8
 
 
 def _recognize_component_y(top: Element, member, nu: Coords, *,
                            base_window: int | None, nu_for_coset: Coords | None,
-                           induced: bool = False, max_extra: int = 8):
+                           induced: bool = False):
     """Recognize the component of `top` in the member set as B_y, with
     windowed re-checks.
 
@@ -382,28 +302,66 @@ def _recognize_component_y(top: Element, member, nu: Coords, *,
     layer deeper; on failure the window widens.  Returns (y, stats, window)
     with y None when the component is conclusively not a Demazure set: a
     recognition that would succeed at a deeper window restricts to a success
-    at every shallower one, so a miss needs no retry.
+    at every shallower one, so a miss needs no retry.  With `induced` the
+    component is walked along e-steps as well as f-steps, which finds members
+    reachable only through a raising step.
     """
-    build = _induced_set if induced else _component_set
-    if base_window is None:
-        xset = build(top, member, nu, window=None)
-        y, stats = recognize_demazure(xset, nu_for_coset=nu_for_coset)
-        return y, stats, None
+    def build(window):
+        return enumerate_from([top], nu, window=window, with_e=induced,
+                              member=member, check_axioms=False)
+
     w_try = base_window
     while True:
-        xset = build(top, member, nu, window=w_try)
-        y, stats = recognize_demazure(xset, nu_for_coset=nu_for_coset)
-        if y is None:
-            return None, stats, w_try
-        deeper = build(top, member, nu, window=w_try + 1)
-        closure, _ = t_word_closure([top], y.rword, nu, window=w_try + 1)
-        if frozenset(closure) == deeper.element_set():
+        y, stats = recognize_demazure(build(w_try), nu_for_coset=nu_for_coset)
+        if y is None or w_try is None:
             return y, stats, w_try
-        if w_try - base_window >= max_extra:
+        closure, _ = t_word_closure([top], y.rword, nu, window=w_try + 1)
+        if frozenset(closure) == build(w_try + 1).element_set():
+            return y, stats, w_try
+        if w_try - base_window >= _MAX_EXTRA:
             raise VerificationMismatch(
                 f"recognition unstable: candidate {word_str(y.rword)} at window "
                 f"{w_try} does not persist one layer deeper")
         w_try += 2
+
+
+class _TensorSetup:
+    """B_v(lam) (x) B_w(mu) as the tensor routines start from it: the
+    criterion and v_min, both factors, the right factor's membership test
+    and the product, windowed at `depth` in the B(infinity) mode (mu None).
+
+    With `need_criterion` a failing criterion raises CriterionFails before any
+    set is built.  In the B(infinity) mode the right factor is one window of a
+    string-peeling oracle, which also answers its membership exactly.
+    """
+
+    def __init__(self, datum: RootDatum, v: WeylElement, lam: Coords,
+                 w: WeylElement, mu: Coords | None, depth: int | None, *,
+                 need_criterion: bool = False):
+        infinite = mu is None
+        if infinite:
+            if depth is None:
+                raise ValueError("the B(infinity) mode needs a depth")
+            holds, letters, vmin = criterion_infinity(datum, v, lam, w)
+        else:
+            holds, letters, vmin = criterion_finite(datum, v, lam, w, mu)
+        if need_criterion and not holds:
+            raise CriterionFails(letters, tuple(sorted(vmin.support() - letters)))
+        self.holds, self.letters, self.vmin = holds, letters, vmin
+        self.left = demazure_set(straight_path(datum, lam), vmin)
+        if infinite:
+            oracle = WindowedClosure(binf_top(datum), w.rword)
+            self.right, self.right_member = oracle.set_at(depth), oracle.contains
+        else:
+            self.right = demazure_set(straight_path(datum, mu), w)
+            self.right_member = self.right.__contains__
+        self.xprod = product_set(self.left, self.right,
+                                 window=depth if infinite else None)
+
+    def member(self, x: Element) -> bool:
+        """Whether x lies in B_{v_min}(lam) (x) B_w(mu or infinity)."""
+        return (isinstance(x, TensorPair) and x.left in self.left.index
+                and self.right_member(x.right))
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +378,6 @@ class ComponentReport:
     size: int
     window: int | None
     matched: bool
-    recognition_window: int | None
 
     def to_json(self) -> dict:
         return {
@@ -486,27 +443,9 @@ def decompose_tensor(datum: RootDatum, v: WeylElement, lam: Coords,
     internal cross-check (component matching, partition) fails.
     """
     infinite = mu is None
-    if infinite:
-        if depth is None:
-            raise ValueError("the B(infinity) mode needs a depth")
-        holds, letters, vmin = criterion_infinity(datum, v, lam, w)
-    else:
-        holds, letters, vmin = criterion_finite(datum, v, lam, w, mu)
-    if not holds:
-        raise CriterionFails(letters, tuple(sorted(vmin.support() - letters)))
-
-    lam_path = straight_path(datum, lam)
-    left = demazure_set(lam_path, vmin)
-    b_lam = left.top()
-
-    if infinite:
-        oracle = WindowedClosure(binf_top(datum), w.rword)
-        right = oracle.set_at(depth)
-        right_member = oracle.contains
-    else:
-        right = demazure_set(straight_path(datum, mu), w)
-        right_member = lambda x: x in right.index  # noqa: E731
-    xprod = product_set(left, right, window=depth if infinite else None)
+    s = _TensorSetup(datum, v, lam, w, mu, depth, need_criterion=True)
+    right, right_member, xprod = s.right, s.right_member, s.xprod
+    b_lam = s.left.top()
 
     prims = primitive_elements(right, lam)
     saturated = None
@@ -536,16 +475,13 @@ def decompose_tensor(datum: RootDatum, v: WeylElement, lam: Coords,
                 f"identity component at primitive depth {d0} not recognized as a "
                 f"Demazure set (window {rec_window})")
         backtracked = backtracked or stats.dead_ends > 0
-        u = u_from_y(y, vmin.rword)
+        u = u_from_y(y, s.vmin.rword)
         if not infinite:
             u = min_coset_rep(u, nu)
 
-        def v_member(x):
-            return (isinstance(x, TensorPair) and x.left in left.index
-                    and right_member(x.right))
-
         w_cmp = depth - d0 if infinite else None
-        comp = _component_set(top, v_member, nu, window=w_cmp)
+        comp = enumerate_from([top], nu, window=w_cmp, member=s.member,
+                              check_axioms=False)
         model_seed: Element
         if infinite:
             model_seed = binf_top(datum, nu)
@@ -560,8 +496,7 @@ def decompose_tensor(datum: RootDatum, v: WeylElement, lam: Coords,
                 f"{outcome.detail}")
         components.append(ComponentReport(
             primitive=b, primitive_depth=d0, y=y, u=u, nu=nu,
-            size=len(comp), window=w_cmp, matched=True,
-            recognition_window=rec_window))
+            size=len(comp), window=w_cmp, matched=True))
         covered.append(comp)
 
     # the components must tile the enumerated product exactly
@@ -585,7 +520,7 @@ def decompose_tensor(datum: RootDatum, v: WeylElement, lam: Coords,
 
     return DecompositionReport(
         datum=datum, mode="infinity" if infinite else "finite", v=v, lam=lam,
-        w=w, mu=mu, depth=depth, letters=letters, vmin=vmin,
+        w=w, mu=mu, depth=depth, letters=s.letters, vmin=s.vmin,
         components=components, partition_ok=partition_ok,
         primitives_saturated=saturated, recognition_backtracked=backtracked,
         total_size=len(xprod))
@@ -627,28 +562,9 @@ def check_equivalence(datum: RootDatum, v: WeylElement, lam: Coords,
     be settled are reported as inconclusive, never coerced.
     """
     infinite = mu is None
-    if infinite:
-        if depth is None:
-            raise ValueError("the B(infinity) mode needs a depth")
-        holds, letters, vmin = criterion_infinity(datum, v, lam, w)
-    else:
-        holds, letters, vmin = criterion_finite(datum, v, lam, w, mu)
-
-    left = demazure_set(straight_path(datum, lam), vmin)
-    b_lam = left.top()
-    if infinite:
-        oracle = WindowedClosure(binf_top(datum), w.rword)
-        right = oracle.set_at(depth)
-        right_member = oracle.contains
-    else:
-        oracle = None
-        right = demazure_set(straight_path(datum, mu), w)
-        right_member = lambda x: x in right.index  # noqa: E731
-    xprod = product_set(left, right, window=depth if infinite else None)
-
-    def member(x):
-        return (isinstance(x, TensorPair) and x.left in left.index
-                and right_member(x.right))
+    s = _TensorSetup(datum, v, lam, w, mu, depth)
+    holds, right, xprod, member = s.holds, s.right, s.xprod, s.member
+    b_lam = s.left.top()
 
     tail = None
     if infinite:
@@ -661,7 +577,7 @@ def check_equivalence(datum: RootDatum, v: WeylElement, lam: Coords,
             # string top settles it.
             if x.left.phi(i) > x.right.eps(i):
                 return None
-            return oracle.contains(string_top(x.right, i).f(i))
+            return s.right_member(string_top(x.right, i).f(i))
 
     ext = is_extremal(xprod, membership=member, tail_all_in=tail)
 
@@ -673,7 +589,7 @@ def check_equivalence(datum: RootDatum, v: WeylElement, lam: Coords,
         d0 = right.depth_of(b)
         nu = vadd(lam, b.wt())
         top = TensorPair(b_lam, b)
-        base_window = max(w.length + vmin.length + 2, 4) if infinite else None
+        base_window = max(w.length + s.vmin.length + 2, 4) if infinite else None
         try:
             y, _stats, _wnd = _recognize_component_y(
                 top, member, nu, base_window=base_window, nu_for_coset=None,
@@ -687,7 +603,8 @@ def check_equivalence(datum: RootDatum, v: WeylElement, lam: Coords,
             witness = f"component of {weight_str(nu)} is not a Demazure set"
             break
         w_cmp = depth - d0 if infinite else None
-        comps.append(_induced_set(top, member, nu, window=w_cmp))
+        comps.append(enumerate_from([top], nu, window=w_cmp, with_e=True,
+                                    member=member, check_axioms=False))
     if decomposable == "yes":
         covered: set[Element] = set()
         for comp in comps:
@@ -704,7 +621,7 @@ def check_equivalence(datum: RootDatum, v: WeylElement, lam: Coords,
     conclusive = {k: val for k, val in verdicts.items() if val is not None}
     agree = len(set(conclusive.values())) <= 1
     record = EquivalenceRecord(
-        criterion=holds, letters=letters, extremal=ext.status,
+        criterion=holds, letters=s.letters, extremal=ext.status,
         decomposable=decomposable, components=len(prims), agree=agree,
         witness=witness or (f"string violated at color {ext.witness[1]}"
                             if ext.witness else ""))
@@ -734,26 +651,15 @@ def closure_product_check(datum: RootDatum, v: WeylElement, lam: Coords,
     The closure always contains the product; under the support criterion the
     two coincide.  Windowed comparison in the B(infinity) mode.
     """
-    infinite = mu is None
-    if infinite:
-        if depth is None:
-            raise ValueError("the B(infinity) mode needs a depth")
-        holds, _, vmin = criterion_infinity(datum, v, lam, w)
-        right = binfinity.demazure_infinity(datum, w, depth)
-    else:
-        holds, _, vmin = criterion_finite(datum, v, lam, w, mu)
-        right = demazure_set(straight_path(datum, mu), w)
-    left_top = straight_path(datum, lam)
-    seeds = [TensorPair(left_top, b) for b in right]
-    top_wt = vadd(lam, right.top_wt)
-    window = depth if infinite else None
-    closure, _ = t_word_closure(seeds, v.rword, top_wt, window=window)
+    s = _TensorSetup(datum, v, lam, w, mu, depth)
+    if mu is None:  # the oracle's window is built without axiom checks
+        for b in s.right:
+            b.check_c1()
+    seeds = [TensorPair(s.left.top(), b) for b in s.right]
+    closure, _ = t_word_closure(seeds, v.rword, s.xprod.top_wt,
+                                window=depth if mu is None else None)
     closure_set = frozenset(closure)
-
-    left = demazure_set(left_top, vmin)
-    prod = product_set(left, right, window=window)
-    prod_elements = prod.element_set()
-
+    prod_elements = s.xprod.element_set()
     contains = prod_elements <= closure_set
-    equal = (closure_set == prod_elements) if holds else None
-    return ClosureProductRecord(criterion=holds, contains=contains, equal=equal)
+    equal = (closure_set == prod_elements) if s.holds else None
+    return ClosureProductRecord(criterion=s.holds, contains=contains, equal=equal)

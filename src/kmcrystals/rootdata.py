@@ -288,10 +288,11 @@ class RootDatum:
 
     def weyl(self, word) -> "WeylElement":
         """The element s_{i_1} ... s_{i_k} for word = (i_1, ..., i_k)."""
-        w = self.identity()
+        mat = inv = _identity_int(self.n)
         for i in word:
-            w = w * self.simple(i)
-        return w
+            g = self.simple(i).mat
+            mat, inv = _mat_mul_int(mat, g), _mat_mul_int(g, inv)
+        return WeylElement(self, mat, inv, _strip_word(self, mat))
 
     def act_root(self, w: "WeylElement", coeffs: RootCoords) -> RootCoords:
         return _mat_vec(w.mat, coeffs)
@@ -488,13 +489,11 @@ class WeylElement:
 
     def right_descent(self, i: int) -> bool:
         """True when l(w s_i) < l(w), i.e. w(alpha_i) < 0."""
-        col = tuple(row[i - 1] for row in self.mat)
-        return all(x <= 0 for x in col)
+        return _negates(self.mat, i)
 
     def left_descent(self, i: int) -> bool:
         """True when l(s_i w) < l(w), i.e. w^{-1}(alpha_i) < 0."""
-        col = tuple(row[i - 1] for row in self.inv)
-        return all(x <= 0 for x in col)
+        return _negates(self.inv, i)
 
     def act_weight(self, mu: Coords) -> Coords:
         for i in reversed(self.rword):
@@ -515,6 +514,11 @@ class WeylElement:
         return "e" if not self.rword else "*".join(f"s{i}" for i in self.rword)
 
 
+def _negates(mat: IntMatrix, i: int) -> bool:
+    """Whether the matrix sends alpha_i to a negative root (column i <= 0)."""
+    return all(row[i - 1] <= 0 for row in mat)
+
+
 def _strip_word(datum: RootDatum, mat: IntMatrix) -> Word:
     """Canonical reduced word by repeatedly removing the smallest right descent."""
     eye = _identity_int(datum.n)
@@ -524,18 +528,13 @@ def _strip_word(datum: RootDatum, mat: IntMatrix) -> Word:
         if len(rec) > _STRIP_CAP:
             raise RuntimeError("descent stripping did not terminate")
         for i in range(1, datum.n + 1):
-            col = tuple(row[i - 1] for row in cur)
-            if all(x <= 0 for x in col):
+            if _negates(cur, i):
                 rec.append(i)
                 cur = _mat_mul_int(cur, datum._gen_matrix(i))
                 break
         else:
             raise RuntimeError("non-identity element with no right descent")
     return tuple(reversed(rec))
-
-
-def length_and_reduced_word(w: WeylElement) -> tuple[int, Word]:
-    return w.length, w.rword
 
 
 def check_reduced(datum: RootDatum, word) -> WeylElement:
@@ -545,10 +544,6 @@ def check_reduced(datum: RootDatum, word) -> WeylElement:
     if w.length != len(word):
         raise WordNotReduced(f"word {word} has length {w.length} < {len(word)}")
     return w
-
-
-def support(w: WeylElement) -> frozenset[int]:
-    return w.support()
 
 
 def in_parabolic(w: WeylElement, letters) -> bool:
@@ -594,15 +589,17 @@ def min_coset_rep(w: WeylElement, lam: Coords) -> WeylElement:
 
 
 def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
-    """Bruhat order, by the standard left-descent recursion."""
-    if u.length >= w.length:
-        return u == w
-    i = next(i for i in range(1, w.datum.n + 1) if w.left_descent(i))
-    si = w.datum.simple(i)
-    sw = si * w
-    if u.left_descent(i):
-        return bruhat_leq(si * u, sw)
-    return bruhat_leq(u, sw)
+    """Bruhat order: for a left descent s of w, u <= w iff min(u, su) <= sw,
+    iterated on inverse matrices and lengths (two products per step)."""
+    datum = w.datum
+    uinv, lu, winv, lw = u.inv, u.length, w.inv, w.length
+    while lu < lw:
+        i = next(i for i in range(1, datum.n + 1) if _negates(winv, i))
+        g = datum.simple(i).mat
+        if _negates(uinv, i):
+            uinv, lu = _mat_mul_int(uinv, g), lu - 1
+        winv, lw = _mat_mul_int(winv, g), lw - 1
+    return uinv == winv
 
 
 def weyl_group_elements(datum: RootDatum, cap: int = 50_000) -> list[WeylElement]:

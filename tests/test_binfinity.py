@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from kmcrystals.binfinity import BSeq, binf_top, demazure_infinity
+from kmcrystals.binfinity import BSeq, binf_top
 from kmcrystals.crystals import Element, enumerate_from, t_word_closure, tensor
+from kmcrystals.demazure import demazure_set
 from kmcrystals.paths import straight_path
 from kmcrystals.rootdata import (
     RootDatum,
@@ -286,7 +287,7 @@ def test_demazure_word_independence():
 
 def test_demazure_monotone_in_bruhat_order():
     group = weyl_group_elements(A2)
-    sets = {w: demazure_infinity(A2, w, 4) for w in group}
+    sets = {w: demazure_set(binf_top(A2), w, window=4) for w in group}
     for u in group:
         for w in group:
             if bruhat_leq(u, w):
@@ -300,5 +301,5 @@ def test_longest_element_fills_every_level():
     # in finite type the closure along the longest word reaches all of the
     # crystal, so the graded sizes agree with the partition counts above
     w0 = A2.weyl((1, 2, 1))
-    xset = demazure_infinity(A2, w0, 5)
+    xset = demazure_set(binf_top(A2), w0, window=5)
     assert xset.graded_sizes() == {0: 1, 1: 2, 2: 4, 3: 6, 4: 9, 5: 12}

@@ -3,10 +3,8 @@
 import pytest
 
 from kmcrystals.crystals import (
-    ElementNotInSet,
     MismatchWitness,
     TensorPair,
-    component_within,
     enumerate_from,
     i_string,
     is_extremal,
@@ -61,11 +59,9 @@ def test_two_chain_product_components():
     assert len(xprod) == 4
     tops = [x for x in xprod if x.eps(1) == 0]
     assert len(tops) == 2
-    sizes = sorted(len(component_within(t, xprod)) for t in tops)
+    sizes = sorted(len(enumerate_from([t], t.wt(), member=xprod.__contains__,
+                                      with_e=True)) for t in tops)
     assert sizes == [1, 3]
-    with pytest.raises(ElementNotInSet):
-        b = straight_path(A1, om)
-        component_within(TensorPair(b.f(1), b.f(1)), product_set(left, _blam(A1, om, ())))
 
 
 def test_i_string():
@@ -115,7 +111,8 @@ def test_full_product_decomposes_by_primitives():
             if all(x.eps(i) == 0 for i in (1, 2))]
     assert sorted(x.skey() for x in tops) == sorted(
         TensorPair(bl.top(), b).skey() for b in prim)
-    comps = [component_within(t, xprod) for t in tops]
+    comps = [enumerate_from([t], t.wt(), member=xprod.__contains__, with_e=True)
+             for t in tops]
     assert sorted(len(c) for c in comps) == [3, 6, 15]
     assert sum(len(c) for c in comps) == len(xprod)
     got = sorted(tuple(t.wt()) for t in tops)
@@ -176,7 +173,6 @@ def test_enumerate_checks_axioms():
     assert len(xset) == 8
     assert xset.top() == top
     assert xset.max_depth() == 4
-    assert len(xset.restricted(2)) == 5
     closure, cut = t_word_closure([top], (1, 2, 1), lam)
     assert not cut and len(set(closure)) == 8
 

@@ -2,11 +2,11 @@
 
 import pytest
 
-from kmcrystals.binfinity import BSeq, binf_top, demazure_infinity
-from kmcrystals.crystals import enumerate_from, set_from_elements, t_word_closure
+from kmcrystals.binfinity import BSeq, binf_top
+from kmcrystals.crystals import (TensorPair, enumerate_from, primitive_elements,
+                                set_from_elements, t_closure, t_word_closure)
 from kmcrystals.demazure import (
     CriterionFails,
-    T_op,
     TopNotInSet,
     WindowedClosure,
     check_equivalence,
@@ -22,6 +22,7 @@ from kmcrystals.demazure import (
 from kmcrystals.paths import straight_path
 from kmcrystals.rootdata import (
     WordNotReduced,
+    bruhat_leq,
     check_reduced,
     preset,
     validate_root_datum,
@@ -47,9 +48,9 @@ def _words(w):
 
 def test_t_op_basics():
     b = straight_path(A1, vec((1,)))
-    chain = T_op([b], 1, vec((1,)))
+    chain = t_closure([b], 1, vec((1,)))[0]
     assert chain == [b, b.f(1)]
-    assert T_op(chain, 1, vec((1,))) == chain  # idempotent
+    assert t_closure(chain, 1, vec((1,)))[0] == chain  # idempotent
 
 
 def test_demazure_set_and_words():
@@ -76,17 +77,17 @@ def test_dichotomy_finite():
     sets = {w: demazure_set(seed, w) for w in weyl_group_elements(A2)}
     for w, xset in sets.items():
         for i in (1, 2):
-            got = set(T_op(list(xset), i, lam))
+            got = set(t_closure(list(xset), i, lam)[0])
             target = w if w.left_descent(i) else A2.simple(i) * w
             assert got == sets[target].element_set(), (w, i)
 
 
 def test_dichotomy_infinity():
     top = binf_top(A2)
-    sets = {w: demazure_infinity(A2, w, 4) for w in weyl_group_elements(A2)}
+    sets = {w: demazure_set(top, w, window=4) for w in weyl_group_elements(A2)}
     for w, xset in sets.items():
         for i in (1, 2):
-            got = set(T_op(list(xset), i, top.wt(), window=4))
+            got = set(t_closure(list(xset), i, top.wt(), window=4)[0])
             target = w if w.left_descent(i) else A2.simple(i) * w
             assert got == sets[target].element_set(), (w, i)
 
@@ -149,11 +150,90 @@ AFFINE_A1 = validate_root_datum("A1^(1)", 2, 3, [[2, -2], [-2, 2]],
                                 pairing=[(1, 0, 0), (0, 1, 0)])
 
 
+B2 = _rank2("B2", [[2, -2], [-1, 2]])
+G2 = _rank2("G2", [[2, -1], [-3, 2]])
+
+
+def test_bruhat_leq_on_a_long_affine_element():
+    # the descent recursion takes one step per unit of length; 1,200 steps
+    # would overflow the interpreter stack if they were nested calls
+    w = AFFINE_A1.weyl((1, 2) * 600)
+    assert w.length == 1200
+    assert bruhat_leq(AFFINE_A1.identity(), w)
+    assert not bruhat_leq(w, AFFINE_A1.identity())
+    # in the infinite dihedral group u <= w iff l(u) < l(w) or u = w
+    assert bruhat_leq(AFFINE_A1.weyl((2, 1) * 5), w)
+    assert bruhat_leq(w, w)
+    assert not bruhat_leq(AFFINE_A1.weyl((2, 1) * 600), w)
+
+
+def _walk_invariants(xset, member, window, with_e):
+    """Depths, edges, closure and the truncation flag of one walk."""
+    datum = xset.datum
+    inside = {}
+    past_window = False
+    for a, (x, d) in enumerate(zip(xset.elements, xset.depths)):
+        assert d == datum.weight_drop(xset.top_wt, x.wt())
+        assert member(x) and (window is None or d <= window)
+        for i in range(1, datum.n + 1):
+            y = x.f(i)
+            if y in xset.index:
+                inside[(a, i)] = xset.index[y]
+            elif y is not None and member(y):
+                assert window is not None and d + 1 > window, "f-step missed"
+                past_window = True
+            z = x.e(i)
+            if with_e and z is not None and member(z):
+                assert z in xset.index, "e-step missed"
+    assert xset.edges == inside
+    assert xset.truncated == past_window
+
+
+@pytest.mark.parametrize("with_e", [False, True], ids=["f", "fe"])
+@pytest.mark.parametrize("datum", [A2, B2, G2, AFFINE_A1],
+                         ids=["A2", "B2", "G2", "affine-A1"])
+def test_walk_invariants(datum, with_e):
+    # components of B_v(lam) (x) B_w(infinity) and B_v(lam) (x) B_w(lam),
+    # walked from b_lam (x) b for every primitive b and again from the last
+    # element that walk found, plus B(infinity) itself
+    lam = vec((1, 1) + (0,) * (datum.m - 2))
+    v, w = datum.weyl((1, 2)), datum.weyl((2, 1))
+    left = demazure_set(straight_path(datum, lam), v)
+    oracle = WindowedClosure(binf_top(datum), w.rword)
+    finite_right = demazure_set(straight_path(datum, lam), w)
+    cases = [(oracle.set_at(4), oracle.contains, 4),
+             (finite_right, finite_right.__contains__, None),
+             (finite_right, finite_right.__contains__, 2)]
+    walked = 0
+    for right, right_member, depth in cases:
+        def member(x):
+            return (isinstance(x, TensorPair) and x.left in left.index
+                    and right_member(x.right))
+
+        for b in primitive_elements(right, lam):
+            top = TensorPair(left.top(), b)
+            window = None if depth is None else depth - right.depth_of(b)
+            for seed in (top, None):
+                if seed is None:
+                    seed = xset.elements[-1]
+                xset = enumerate_from([seed], top.wt(), window=window,
+                                      with_e=with_e, member=member,
+                                      check_axioms=False)
+                _walk_invariants(xset, member, window, with_e)
+                walked += 1
+    assert walked >= 6
+    top = binf_top(datum)
+    for seed in (top, top.f(1).f(2)):
+        xset = enumerate_from([seed], top.wt(), window=3, with_e=with_e)
+        _walk_invariants(xset, lambda x: True, 3, with_e)
+        assert xset.truncated
+
+
 @pytest.mark.parametrize("datum, words", [
     (A2, None),
     (A3, None),
-    (_rank2("B2", [[2, -2], [-1, 2]]), None),
-    (_rank2("G2", [[2, -1], [-3, 2]]), None),
+    (B2, None),
+    (G2, None),
     (AFFINE_A1, [(), (1,), (2, 1), (1, 2, 1), (2, 1, 2, 1)]),
 ], ids=["A2", "A3", "B2", "G2", "affine-A1"])
 def test_peeling_matches_enumeration(datum, words):
