@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .crystals import Element
-from .rootdata import Coords, RootDatum, rational_str, vsub, vscale, vzero
+from .rootdata import Coords, RootDatum, rational_str, vec, vsub, vscale, vzero
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ class BSeq(Element):
         if any(a < 0 for a in ent):
             raise ValueError("sequence entries must be nonnegative")
         object.__setattr__(self, "entries", ent)
-        off = self.offset if self.offset else vzero(self.datum.m)
+        off = vec(self.offset) if self.offset else vzero(self.datum.m)
         if len(off) != self.datum.m:
             raise ValueError("offset has the wrong dimension")
         if not self.datum.is_integral(off):
@@ -103,11 +103,11 @@ class BSeq(Element):
 
     def phi(self, i: int) -> int:
         # <wt, alpha_i^vee> = <offset, alpha_i^vee> - sum_k a_k a_{i, iota(k)};
-        # the offset pairing is an integer because the offset is integral
+        # the offset pairing is an int because the offset is integral
         row = self.datum.cartan[i - 1]
         n = self.datum.n
         drop = sum(a * row[k % n] for k, a in enumerate(self.entries))
-        return self.eps(i) + int(self.datum.pair(self.offset, i)) - drop
+        return self.eps(i) + self.datum.pair(self.offset, i) - drop
 
     def e(self, i: int) -> "BSeq | None":
         br = self._brackets(i)

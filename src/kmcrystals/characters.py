@@ -20,7 +20,7 @@ coefficients are obtained degree by degree from an exact linear solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cache
 
 from .crystals import CrystalSet
 from .demazure import decompose_tensor, demazure_set
@@ -52,18 +52,18 @@ class FormalCharacter:
         if terms:
             for mu, c in terms.items():
                 if c:
-                    self.terms[tuple(Fraction(x) for x in mu)] = int(c)
+                    self.terms[vec(mu)] = int(c)
 
     @classmethod
     def monomial(cls, datum: RootDatum, mu: Coords, coeff: int = 1) -> "FormalCharacter":
-        return cls(datum, {tuple(Fraction(x) for x in mu): coeff})
+        return cls(datum, {mu: coeff})
 
     @classmethod
     def zero(cls, datum: RootDatum) -> "FormalCharacter":
         return cls(datum)
 
     def coeff(self, mu: Coords) -> int:
-        return self.terms.get(tuple(Fraction(x) for x in mu), 0)
+        return self.terms.get(vec(mu), 0)
 
     def support(self) -> list[Coords]:
         return sorted(self.terms)
@@ -135,9 +135,8 @@ def demazure_op(chi: FormalCharacter, i: int) -> FormalCharacter:
 
     for mu, c in chi.terms.items():
         m = datum.pair(mu, i)
-        if m.denominator != 1:
+        if type(m) is not int:
             raise NonIntegralPairing(f"<mu, alpha_{i}^vee> = {m} is not an integer")
-        m = int(m)
         if m >= 0:
             for k in range(m + 1):
                 add(tuple(a - k * b for a, b in zip(mu, alpha)), c)
@@ -224,8 +223,7 @@ def is_gl_like(datum: RootDatum) -> bool:
     if datum.m != datum.n + 1:
         return False
     for i in range(1, datum.n + 1):
-        want = tuple(Fraction(1) if j == i - 1 else Fraction(-1) if j == i else Fraction(0)
-                     for j in range(datum.m))
+        want = tuple(1 if j == i - 1 else -1 if j == i else 0 for j in range(datum.m))
         if datum.simple_root(i) != want:
             return False
         if tuple(datum.pairing[i - 1]) != want:
@@ -236,10 +234,9 @@ def is_gl_like(datum: RootDatum) -> bool:
 def _as_composition(mu: Coords) -> tuple[int, ...]:
     out = []
     for x in mu:
-        f = Fraction(x)
-        if f.denominator != 1 or f < 0:
-            raise NotInSpan(f"weight entry {f} is not a nonnegative integer")
-        out.append(int(f))
+        if type(x) is not int or x < 0:
+            raise NotInSpan(f"weight entry {x} is not a nonnegative integer")
+        out.append(x)
     return tuple(out)
 
 
@@ -286,6 +283,23 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
+@cache
+def _key_basis(datum: RootDatum, degree: int):
+    """The compositions of `degree` into datum.m parts, and the square matrix
+    whose column k holds the monomial coefficients of the k-th one's key
+    polynomial (rows in the same composition order).  Built once per datum
+    and degree; the tuples are shared by every caller."""
+    comps = tuple(_compositions(degree, datum.m))
+    pos = {c: k for k, c in enumerate(comps)}
+    cols = []
+    for c in comps:
+        col = [0] * len(comps)
+        for mu, coeff in key_polynomial(datum, c).terms.items():
+            col[pos[_as_composition(mu)]] = coeff
+        cols.append(col)
+    return comps, tuple(zip(*cols))
+
+
 def key_expand(datum: RootDatum, chi: FormalCharacter) -> dict[tuple[int, ...], int]:
     """Integer coordinates of `chi` in the key polynomial basis.
 
@@ -303,26 +317,16 @@ def key_expand(datum: RootDatum, chi: FormalCharacter) -> dict[tuple[int, ...], 
 
     out: dict[tuple[int, ...], int] = {}
     for d, wanted in sorted(by_degree.items()):
-        comps = list(_compositions(d, datum.m))
-        pos = {c: k for k, c in enumerate(comps)}
-        cols = []
-        for c in comps:
-            kappa = key_polynomial(datum, c)
-            col = [0] * len(comps)
-            for mu, coeff in kappa.terms.items():
-                col[pos[_as_composition(mu)]] = coeff
-            cols.append(col)
-        matrix = [[Fraction(cols[j][k]) for j in range(len(comps))]
-                  for k in range(len(comps))]
-        rhs = [Fraction(wanted.get(c, 0)) for c in comps]
+        comps, matrix = _key_basis(datum, d)
+        rhs = [wanted.get(c, 0) for c in comps]
         sol = gauss_solve(matrix, rhs)
         if sol is None:
             raise NotInSpan(f"degree {d} block is not a key combination")
         for c, a in zip(comps, sol):
-            if a.denominator != 1:
+            if type(a) is not int:
                 raise NotInSpan(f"coefficient of kappa_{c} is non-integral: {a}")
             if a:
-                out[c] = int(a)
+                out[c] = a
     return out
 
 

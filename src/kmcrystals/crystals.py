@@ -25,7 +25,7 @@ from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
 
-from .rootdata import Coords, RootDatum, rational_str, vadd
+from .rootdata import Coords, RootDatum, rational_str, vadd, weight_str
 
 
 class Element(ABC):
@@ -442,6 +442,7 @@ class ExtremalityVerdict:
     witness: tuple[Element, int] | None = None
     strings_checked: int = 0
     strings_unresolved: int = 0
+    reason: str = ""  # why an inconclusive verdict could not be settled
 
     def __bool__(self) -> bool:
         return self.status == "extremal"
@@ -460,9 +461,15 @@ def is_extremal(xset: CrystalSet, *, membership=None,
     stays inside; it is consulted to settle infinite strings.
 
     For e-stable sets the intersection with any string is a prefix from the
-    string top, which the walk exploits to stop early.
+    string top, which the walk exploits to stop early.  A truncated set that
+    holds nothing below its top is inconclusive: only the strings through the
+    top would be examined, and a violation can sit on any string below it.
     """
     datum = xset.datum
+    if xset.truncated and xset.max_depth() == 0:
+        return ExtremalityVerdict(
+            "inconclusive",
+            reason=f"window {xset.window} holds only the top; no string below it was examined")
     horizon = xset.window if xset.truncated else None
 
     def default_member(x: Element):
@@ -572,7 +579,8 @@ def match_highest_weight(xset: CrystalSet, yset: CrystalSet):
         x = queue.popleft()
         y = mapping[x]
         if x.wt() != y.wt():
-            return MismatchWitness("weight", x, detail=f"{x.wt()} vs {y.wt()}")
+            return MismatchWitness("weight", x,
+                                   detail=f"{weight_str(x.wt())} vs {weight_str(y.wt())}")
         for i in range(1, datum.n + 1):
             if x.eps(i) != y.eps(i) or x.phi(i) != y.phi(i):
                 return MismatchWitness("string-statistics", x, i)

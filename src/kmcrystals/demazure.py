@@ -299,25 +299,30 @@ def _recognize_component_y(top: Element, member, nu: Coords, *,
 
     In the finite case (base_window None) recognition is exact.  Otherwise the
     candidate found at window W is confirmed by rebuilding both sides one
-    layer deeper; on failure the window widens.  Returns (y, stats, window)
-    with y None when the component is conclusively not a Demazure set: a
-    recognition that would succeed at a deeper window restricts to a success
-    at every shallower one, so a miss needs no retry.  With `induced` the
-    component is walked along e-steps as well as f-steps, which finds members
-    reachable only through a raising step.
+    layer deeper; on failure the window widens.  Returns (y, stats, window,
+    walks) with y None when the component is conclusively not a Demazure set:
+    a recognition that would succeed at a deeper window restricts to a
+    success at every shallower one, so a miss needs no retry.  `walks` maps
+    each window walked to the component set built there, for callers that
+    need the same component again.  With `induced` the component is walked
+    along e-steps as well as f-steps, which finds members reachable only
+    through a raising step.
     """
+    walks: dict[int | None, CrystalSet] = {}
+
     def build(window):
-        return enumerate_from([top], nu, window=window, with_e=induced,
-                              member=member, check_axioms=False)
+        walks[window] = enumerate_from([top], nu, window=window, with_e=induced,
+                                       member=member, check_axioms=False)
+        return walks[window]
 
     w_try = base_window
     while True:
         y, stats = recognize_demazure(build(w_try), nu_for_coset=nu_for_coset)
         if y is None or w_try is None:
-            return y, stats, w_try
+            return y, stats, w_try, walks
         closure, _ = t_word_closure([top], y.rword, nu, window=w_try + 1)
         if frozenset(closure) == build(w_try + 1).element_set():
-            return y, stats, w_try
+            return y, stats, w_try, walks
         if w_try - base_window >= _MAX_EXTRA:
             raise VerificationMismatch(
                 f"recognition unstable: candidate {word_str(y.rword)} at window "
@@ -467,7 +472,7 @@ def decompose_tensor(datum: RootDatum, v: WeylElement, lam: Coords,
         base_window = None
         if infinite:
             base_window = max(w.length + 2, 4)
-        y, stats, rec_window = _recognize_component_y(
+        y, stats, rec_window, _walks = _recognize_component_y(
             top, id_member, nu, base_window=base_window,
             nu_for_coset=None if infinite else nu)
         if y is None:
@@ -591,7 +596,7 @@ def check_equivalence(datum: RootDatum, v: WeylElement, lam: Coords,
         top = TensorPair(b_lam, b)
         base_window = max(w.length + s.vmin.length + 2, 4) if infinite else None
         try:
-            y, _stats, _wnd = _recognize_component_y(
+            y, _stats, _wnd, walks = _recognize_component_y(
                 top, member, nu, base_window=base_window, nu_for_coset=None,
                 induced=True)
         except VerificationMismatch as exc:
@@ -603,8 +608,11 @@ def check_equivalence(datum: RootDatum, v: WeylElement, lam: Coords,
             witness = f"component of {weight_str(nu)} is not a Demazure set"
             break
         w_cmp = depth - d0 if infinite else None
-        comps.append(enumerate_from([top], nu, window=w_cmp, with_e=True,
-                                    member=member, check_axioms=False))
+        if w_cmp in walks:  # recognition already walked this window
+            comps.append(walks[w_cmp])
+        else:
+            comps.append(enumerate_from([top], nu, window=w_cmp, with_e=True,
+                                        member=member, check_axioms=False))
     if decomposable == "yes":
         covered: set[Element] = set()
         for comp in comps:
@@ -623,8 +631,8 @@ def check_equivalence(datum: RootDatum, v: WeylElement, lam: Coords,
     record = EquivalenceRecord(
         criterion=holds, letters=s.letters, extremal=ext.status,
         decomposable=decomposable, components=len(prims), agree=agree,
-        witness=witness or (f"string violated at color {ext.witness[1]}"
-                            if ext.witness else ""))
+        witness=witness or ext.reason or (f"string violated at color {ext.witness[1]}"
+                                          if ext.witness else ""))
     if not agree:
         raise EquivalenceViolation(
             f"conclusive disagreement {conclusive} for v={word_str(v.rword)}, "

@@ -11,7 +11,8 @@ for its minimum, an integer on every path this package generates.  f_i
 reflects the portion of the path between the last time h attains m and the
 first later time it attains m+1, then shifts the rest down by alpha_i; e_i is
 the mirror image.  Both come straight from the geometric definition, with all
-interpolation done in exact fractions.
+interpolation done in exact arithmetic (vertex coordinates follow the scalar
+rule of `rootdata`: ints where integral, Fractions elsewhere).
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .crystals import Element
-from .rootdata import Coords, RootDatum, rational_str, vadd, vsub, vscale, vzero
+from .rootdata import (Coords, RootDatum, Scalar, rational_str, vadd, vec, vsub,
+                       vscale, vzero)
 
 
 class NonIntegralPath(ValueError):
@@ -41,11 +43,12 @@ def _canonical(vertices: tuple[Coords, ...]) -> tuple[Coords, ...]:
             d1 = vsub(out[-1], out[-2])
             d2 = vsub(v, out[-1])
             j = next((k for k, x in enumerate(d1) if x != 0), None)
-            if j is not None and d1[j] != 0:
-                c = d2[j] / d1[j]
-                if c > 0 and all(x * c == y for x, y in zip(d1, d2)):
-                    out[-1] = v
-                    continue
+            # d2 = c * d1 with c > 0, tested by cross-multiplying (ints must
+            # not be divided into floats)
+            if j is not None and d1[j] * d2[j] > 0 and all(
+                    x * d2[j] == y * d1[j] for x, y in zip(d1, d2)):
+                out[-1] = v
+                continue
         out.append(v)
     return tuple(out)
 
@@ -64,21 +67,21 @@ class PLPath(Element):
         return self.vertices[-1]
 
     @cached_property
-    def _height_cache(self) -> dict[int, tuple[Fraction, ...]]:
+    def _height_cache(self) -> dict[int, tuple[Scalar, ...]]:
         return {}
 
-    def _heights(self, i: int) -> tuple[Fraction, ...]:
+    def _heights(self, i: int) -> tuple[Scalar, ...]:
         h = self._height_cache.get(i)
         if h is None:
             h = self._height_cache[i] = tuple(self.datum.pair(v, i) for v in self.vertices)
         return h
 
-    def _min_height(self, i: int) -> tuple[tuple[Fraction, ...], int]:
+    def _min_height(self, i: int) -> tuple[tuple[Scalar, ...], int]:
         h = self._heights(i)
         m = min(h)
-        if m.denominator != 1:
+        if type(m) is not int:
             raise NonIntegralPath(f"height minimum {m} along alpha_{i} is not an integer")
-        return h, int(m)
+        return h, m
 
     def eps(self, i: int) -> int:
         _, m = self._min_height(i)
@@ -87,14 +90,13 @@ class PLPath(Element):
     def phi(self, i: int) -> int:
         h, m = self._min_height(i)
         top = h[-1] - m
-        if top.denominator != 1:
+        if type(top) is not int:
             raise NonIntegralPath(f"endpoint height {h[-1]} is not an integer")
-        return int(top)
+        return top
 
     def _reflect_from(self, base: Coords, v: Coords, i: int) -> Coords:
-        delta = vsub(v, base)
-        return vadd(base, vsub(delta, vscale(self.datum.pair(delta, i),
-                                             self.datum.simple_root(i))))
+        # base + s_i(v - base) = v - <v - base, alpha_i^vee> alpha_i
+        return vsub(v, vscale(self.datum.pair(vsub(v, base), i), self.datum.simple_root(i)))
 
     def f(self, i: int) -> "PLPath | None":
         h, m = self._min_height(i)
@@ -111,7 +113,7 @@ class PLPath(Element):
             tail = self.vertices[jc + 1:]
             mids = self.vertices[jmax + 1: jc + 1]
         else:
-            t = (Fraction(m + 1) - h[jc - 1]) / (h[jc] - h[jc - 1])
+            t = Fraction(m + 1 - h[jc - 1]) / (h[jc] - h[jc - 1])
             cross = vadd(self.vertices[jc - 1],
                          vscale(t, vsub(self.vertices[jc], self.vertices[jc - 1])))
             tail = self.vertices[jc:]
@@ -133,7 +135,7 @@ class PLPath(Element):
             head = self.vertices[: jc + 1]
             mids = self.vertices[jc + 1: jmin + 1]
         else:
-            t = (h[jc] - Fraction(m + 1)) / (h[jc] - h[jc + 1])
+            t = Fraction(h[jc] - (m + 1)) / (h[jc] - h[jc + 1])
             cross = vadd(self.vertices[jc],
                          vscale(t, vsub(self.vertices[jc + 1], self.vertices[jc])))
             head = self.vertices[: jc + 1] + (cross,)
@@ -156,7 +158,7 @@ class PLPath(Element):
 
 def straight_path(datum: RootDatum, lam: Coords) -> PLPath:
     """The path t -> t*lam, the highest element of B(lam) for dominant integral lam."""
-    datum.check_dominant_integral(lam)
+    lam = datum.check_dominant_integral(vec(lam))
     zero = vzero(datum.m)
     if lam == zero:
         return PLPath(datum, (zero,))

@@ -4,15 +4,24 @@ A root datum packages a generalized Cartan matrix A together with a rational
 coordinate realization of the weight lattice: column j of the matrix R holds
 the coordinates of the simple root alpha_j, and row i of the matrix C reads
 off the pairing with the simple coroot alpha_i^vee, so that C @ R == A.  All
-arithmetic is exact: weights are tuples of fractions, Weyl group elements act
-on the root lattice through integer matrices, and nothing is ever rounded.
+arithmetic is exact: weights are tuples of exact scalars, Weyl group elements
+act on the root lattice through integer matrices, and nothing is ever rounded.
+
+One rule governs every exact scalar (coordinate, pairing, coefficient): it is
+a plain int when it is integral and a Fraction only when its denominator
+exceeds 1.  The vector helpers below and `_dot` restore the rule on every
+result, so integral data never pay for Fraction arithmetic, while a rational
+realization runs through the same code.  An int and a Fraction of equal value
+compare and hash alike, so the rule changes no set, dict or printed output.
 
 >>> sl2 = preset("A1")
 >>> sl2.pair(sl2.fundamental_weight(1), 1)
-Fraction(1, 1)
+1
 >>> w = sl2.weyl((1,))
 >>> w.act_weight(sl2.fundamental_weight(1))
-(Fraction(-1, 1),)
+(-1,)
+>>> vscale(Fraction(1, 2), vec((2, 3)))
+(1, Fraction(3, 2))
 """
 
 from __future__ import annotations
@@ -22,8 +31,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-Coords = tuple[Fraction, ...]
-RootCoords = tuple[Fraction, ...]
+Scalar = int | Fraction
+Coords = tuple[Scalar, ...]
+RootCoords = tuple[Scalar, ...]
 Word = tuple[int, ...]
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -56,33 +66,44 @@ class WordNotReduced(ValueError):
 # exact vectors and small rational matrices
 
 
+def _exact(x: Scalar) -> Scalar:
+    """The scalar rule: an integral value as an int, any other as a Fraction."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _ruled(v: Coords) -> Coords:
+    """Apply the scalar rule to a vector.  A result with no Fraction entry
+    already obeys it; only Fraction arithmetic can yield an integral Fraction."""
+    if Fraction in map(type, v):
+        return tuple(map(_exact, v))
+    return v
+
+
 def vec(xs) -> Coords:
-    return tuple(Fraction(x) for x in xs)
+    return tuple(x if type(x) is int else _exact(Fraction(x)) for x in xs)
 
 
 def vzero(m: int) -> Coords:
-    return (Fraction(0),) * m
+    return (0,) * m
 
 
 def vadd(a: Coords, b: Coords) -> Coords:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
+    return _ruled(tuple(x + y for x, y in zip(a, b, strict=True)))
 
 
 def vsub(a: Coords, b: Coords) -> Coords:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
-def vneg(a: Coords) -> Coords:
-    return tuple(-x for x in a)
+    return _ruled(tuple(x - y for x, y in zip(a, b, strict=True)))
 
 
 def vscale(c, a: Coords) -> Coords:
-    c = Fraction(c)
-    return tuple(c * x for x in a)
+    if type(c) is not int:
+        c = _exact(Fraction(c))
+    return _ruled(tuple(c * x for x in a))
 
 
-def _dot(a, b) -> Fraction:
-    return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
+def _dot(a, b) -> Scalar:
+    s = sum(x * y for x, y in zip(a, b, strict=True))
+    return s if type(s) is int else _exact(s)
 
 
 def _mat_vec(rows, v):
@@ -131,9 +152,9 @@ def gauss_solve(matrix, rhs):
             return None  # inconsistent
     if len(pivots) < ncols:
         return None  # underdetermined
-    x = [Fraction(0)] * ncols
+    x: list[Scalar] = [0] * ncols
     for row, col in pivots:
-        x[col] = m[row][ncols]
+        x[col] = _exact(m[row][ncols])
     return tuple(x)
 
 
@@ -148,7 +169,7 @@ def parse_rational(x) -> Fraction:
     raise ValueError(f"cannot parse rational from {x!r}")
 
 
-def rational_str(x: Fraction) -> str:
+def rational_str(x: Scalar) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -173,11 +194,11 @@ class RootDatum:
     cartan: IntMatrix
     roots: tuple[Coords, ...]
     pairing: tuple[Coords, ...]
-    sym: tuple[Fraction, ...]
+    sym: tuple[Scalar, ...]
     fundamentals: tuple[Coords, ...] | None = field(default=None, compare=False)
 
     # Every crystal element hashes its datum, so the hash of the exact
-    # Fraction tables is computed once, over the fields `__eq__` compares.
+    # tables is computed once, over the fields `__eq__` compares.
     @cached_property
     def _hash(self) -> int:
         return hash((self.name, self.n, self.m, self.cartan, self.roots,
@@ -191,7 +212,7 @@ class RootDatum:
     def simple_root(self, i: int) -> Coords:
         return self.roots[i - 1]
 
-    def pair(self, mu: Coords, i: int) -> Fraction:
+    def pair(self, mu: Coords, i: int) -> Scalar:
         """The evaluation <mu, alpha_i^vee>."""
         return _dot(self.pairing[i - 1], mu)
 
@@ -212,9 +233,11 @@ class RootDatum:
 
     def check_dominant_integral(self, mu: Coords) -> Coords:
         if not self.is_integral(mu):
-            raise NotDominantIntegral(f"weight {mu} is not integral for {self.name!r}")
+            raise NotDominantIntegral(
+                f"weight {weight_str(mu)} is not integral for {self.name!r}")
         if not self.is_dominant(mu):
-            raise NotDominantIntegral(f"weight {mu} is not dominant for {self.name!r}")
+            raise NotDominantIntegral(
+                f"weight {weight_str(mu)} is not dominant for {self.name!r}")
         return mu
 
     @cached_property
@@ -225,7 +248,7 @@ class RootDatum:
         gram = [[_dot(self.roots[a], self.roots[b]) for b in range(n)] for a in range(n)]
         cols = []
         for j in range(n):
-            e = [Fraction(1) if k == j else Fraction(0) for k in range(n)]
+            e = [1 if k == j else 0 for k in range(n)]
             col = gauss_solve(gram, e)
             if col is None:
                 raise PairingInconsistent("columns of the root matrix are dependent")
@@ -260,10 +283,9 @@ class RootDatum:
         c = self.root_coords(delta)
         if c is None:
             raise ValueError("weight difference lies outside the root lattice span")
-        total = sum(c, Fraction(0))
-        if total.denominator != 1 or any(x.denominator != 1 for x in c):
+        if any(type(x) is not int for x in c):
             raise ValueError("weight difference is not an integral root combination")
-        drop = self._drops[delta] = int(total)
+        drop = self._drops[delta] = sum(c)
         return drop
 
     # -- Weyl group ----------------------------------------------------------
@@ -300,8 +322,7 @@ class RootDatum:
     @cached_property
     def positive_roots(self) -> tuple[RootCoords, ...]:
         """All positive roots, in root coordinates.  Finite type only."""
-        simples = [tuple(Fraction(1) if k == j else Fraction(0) for k in range(self.n))
-                   for j in range(self.n)]
+        simples = [tuple(1 if k == j else 0 for k in range(self.n)) for j in range(self.n)]
         gens = [self._gen_matrix(i) for i in range(1, self.n + 1)]
         seen = set(simples)
         frontier = list(simples)
@@ -332,7 +353,7 @@ class RootDatum:
         }
 
 
-def _symmetrizer(cartan: IntMatrix) -> tuple[Fraction, ...]:
+def _symmetrizer(cartan: IntMatrix) -> tuple[Scalar, ...]:
     """A positive diagonal d with d_i a_ij == d_j a_ji, or NotSymmetrizable."""
     n = len(cartan)
     d: list[Fraction | None] = [None] * n
@@ -359,7 +380,7 @@ def _symmetrizer(cartan: IntMatrix) -> tuple[Fraction, ...]:
                 raise NotSymmetrizable(f"d_i a_ij != d_j a_ji at ({i + 1},{j + 1})")
     if any(x <= 0 for x in out):
         raise NotSymmetrizable("symmetrizer is not positive")
-    return tuple(out)
+    return tuple(map(_exact, out))
 
 
 def validate_root_datum(name, n, m, cartan, roots, pairing, fundamentals=None) -> RootDatum:
@@ -431,25 +452,19 @@ def preset(name: str) -> RootDatum:
         n = size - 1
         cartan = [[2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(n)]
                   for i in range(n)]
-        cols = [tuple(Fraction(1) if k == j else (Fraction(-1) if k == j + 1 else Fraction(0))
-                      for k in range(size)) for j in range(n)]
-        rows = [tuple(Fraction(1) if k == i else (Fraction(-1) if k == i + 1 else Fraction(0))
-                      for k in range(size)) for i in range(n)]
-        funds = [tuple(Fraction(1) if k <= i else Fraction(0) for k in range(size))
-                 for i in range(n)]
-        return validate_root_datum(key, n, size, cartan, cols, rows, funds)
+        cols = [tuple(1 if k == j else (-1 if k == j + 1 else 0) for k in range(size))
+                for j in range(n)]
+        funds = [tuple(1 if k <= i else 0 for k in range(size)) for i in range(n)]
+        return validate_root_datum(key, n, size, cartan, cols, cols, funds)
     if key.startswith("A"):
         n = int(key[1:])
         if n < 1:
             raise ValueError("A presets need rank >= 1")
         cartan = [[2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(n)]
                   for i in range(n)]
-        cols = [tuple(Fraction(cartan[k][j]) for k in range(n)) for j in range(n)]
-        rows = [tuple(Fraction(1) if k == i else Fraction(0) for k in range(n))
-                for i in range(n)]
-        funds = [tuple(Fraction(1) if k == i else Fraction(0) for k in range(n))
-                 for i in range(n)]
-        return validate_root_datum(key, n, n, cartan, cols, rows, funds)
+        cols = [tuple(cartan[k][j] for k in range(n)) for j in range(n)]
+        unit = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
+        return validate_root_datum(key, n, n, cartan, cols, unit, unit)
     raise ValueError(f"unknown preset {name!r}")
 
 
@@ -649,7 +664,7 @@ def parse_weight(datum: RootDatum, text: str) -> Coords:
             pos = chunk.find(nm)
             if pos >= 0:
                 coeff = chunk[:pos].strip()
-                body = (Fraction(coeff) if coeff else Fraction(1), int(chunk[pos + len(nm):]))
+                body = (Fraction(coeff) if coeff else 1, int(chunk[pos + len(nm):]))
                 break
         if body is None:
             raise ValueError(f"cannot parse weight term {chunk!r}")

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from kmcrystals import characters
 from kmcrystals.binfinity import binf_top
 from kmcrystals.characters import (
     FormalCharacter,
@@ -185,6 +186,19 @@ def test_key_expand_round_trip():
         got = key_expand(GL3, chi)
         want = {c: k for c, k in picks.items() if k}
         assert got == want
+
+
+def test_key_basis_is_built_once_per_degree(monkeypatch):
+    calls = []
+    real = characters.key_polynomial
+    monkeypatch.setattr(characters, "key_polynomial",
+                        lambda datum, comp: calls.append(comp) or real(datum, comp))
+    characters._key_basis.cache_clear()
+    chi = key_polynomial(GL3, (2, 1, 0)) * key_polynomial(GL3, (1, 0, 1))
+    for _ in range(3):
+        assert key_expand(GL3, chi) == key_expand(GL3, chi)
+    # the 21 compositions of 5 into 3 parts, each expanded once
+    assert len(calls) == len(set(calls)) == 21
 
 
 def test_key_expand_rejects_outside_span():

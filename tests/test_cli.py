@@ -77,6 +77,35 @@ def test_check_single_and_sweep(capsys):
         jsonschema.validate(row, schema)
 
 
+def test_check_infinity_depth_zero_is_inconclusive(capsys):
+    # a depth-0 window holds only the top of each product, so extremality is
+    # left open instead of read off the strings through the top alone
+    code, out, _ = run(capsys, "check", "--preset", "A2", "--lambda", "ω1",
+                       "--all-vw", "--mode", "infinity", "--depth", "0",
+                       "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["summary"]["pairs"] == payload["summary"]["agree"] == 36
+    for row in payload["records"]:
+        assert row["agree"] is True
+        if row["extremal"] == "inconclusive" and row["decomposable"] != "no":
+            assert "window 0" in row["witness"]
+    # the case that disagreed at depth 0 keeps its deeper records
+    want = {"agree": True, "components": 2, "criterion": False, "decomposable": "no",
+            "extremal": "violated", "letters": [2], "v_word": [1], "w_word": [2, 1],
+            "witness": "component of (1,0) is not a Demazure set"}
+    for depth in ("0", "1", "2", "3"):
+        code, out, _ = run(capsys, "check", "--preset", "A2", "--lambda", "ω1",
+                           "--v", "1", "--w", "2,1", "--mode", "infinity",
+                           "--depth", depth, "--format", "json")
+        assert code == 0
+        [row] = json.loads(out)["records"]
+        if depth == "0":
+            assert row["extremal"] == "inconclusive" and row["agree"] is True
+        else:
+            assert row == want
+
+
 def test_graph_dot_and_json(capsys, tmp_path):
     code, out, _ = run(capsys, "graph", "--preset", "A2",
                        "--lambda", "ω1+ω2", "--w", "1,2,1")

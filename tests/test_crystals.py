@@ -136,6 +136,19 @@ def test_extremality_violated_by_partial_string():
     assert i == 1
 
 
+def test_extremality_of_a_top_only_window():
+    om = vec((1,))
+    full = _blam(A1, om, (1,))
+    xset = product_set(full, full, window=0)
+    assert len(xset) == 1 and xset.truncated
+    verdict = is_extremal(xset)
+    assert verdict.status == "inconclusive" and "window 0" in verdict.reason
+    # a complete one-element set is still settled
+    top = product_set(_blam(A1, om, ()), _blam(A1, om, ()))
+    assert len(top) == 1 and not top.truncated
+    assert is_extremal(top).status == "extremal"
+
+
 def test_extremality_of_full_product():
     om = vec((1,))
     full = _blam(A1, om, (1,))

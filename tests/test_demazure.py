@@ -2,6 +2,7 @@
 
 import pytest
 
+import kmcrystals.demazure as dz
 from kmcrystals.binfinity import BSeq, binf_top
 from kmcrystals.crystals import (TensorPair, enumerate_from, primitive_elements,
                                 set_from_elements, t_closure, t_word_closure)
@@ -404,3 +405,24 @@ def test_equivalence_record_infinity():
     rec = check_equivalence(A2, A2.simple(1), om1, A2.simple(2), None, depth=4)
     assert not rec.criterion and rec.extremal == "violated"
     assert rec.decomposable == "no" and rec.agree
+
+
+def test_equivalence_walks_each_component_window_once(monkeypatch):
+    # recognition walks a component at its trial windows; the tiling check
+    # reuses the walk when its own window is one of them
+    real = dz.enumerate_from
+    walks = []
+
+    def counted(seeds, top_wt, **kw):
+        walks.append((tuple(seeds), top_wt, kw["window"], kw["with_e"], kw["member"]))
+        return real(seeds, top_wt, **kw)
+
+    monkeypatch.setattr(dz, "enumerate_from", counted)
+    om1 = vec((1, 0))
+    group = weyl_group_elements(A2)
+    for v in group:
+        for w in group:
+            walks.clear()
+            rec = check_equivalence(A2, v, om1, w, None, depth=4)
+            assert rec.agree
+            assert len(walks) == len(set(walks)), (v, w)

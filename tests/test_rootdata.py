@@ -1,9 +1,11 @@
 """Root data, Weyl elements, and the parsing helpers."""
 
+import doctest
 from fractions import Fraction
 
 import pytest
 
+import kmcrystals.rootdata
 from kmcrystals.rootdata import (
     NotDominantIntegral,
     NotGCM,
@@ -287,3 +289,8 @@ def test_parse_word_and_strs():
     assert weight_str(vec((0, 1, 0))) == "(0,1,0)"
     with pytest.raises(ValueError):
         parse_word("1,x")
+
+
+def test_module_examples():
+    result = doctest.testmod(kmcrystals.rootdata)
+    assert result.attempted >= 3 and result.failed == 0
