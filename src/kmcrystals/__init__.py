@@ -23,9 +23,9 @@ from .demazure import (ClosureProductRecord, ComponentReport, CriterionFails,
                        demazure_set, extremal_element, recognize_demazure,
                        u_from_y)
 from .paths import NonIntegralPath, PLPath, straight_path
-from .rootdata import (NotDominantIntegral, NotGCM, NotSymmetrizable,
-                       PairingInconsistent, RootDatum, WeylElement,
-                       WordNotReduced, bruhat_leq, check_reduced,
+from .rootdata import (InvariantBroken, NotDominantIntegral, NotGCM,
+                       NotSymmetrizable, PairingInconsistent, RootDatum,
+                       WeylElement, WordNotReduced, bruhat_leq, check_reduced,
                        datum_from_json, in_parabolic, min_coset_rep,
                        parse_weight, parse_word, preset, stabilizer_letters,
                        validate_root_datum, weight_str, weyl_group_elements,
@@ -37,7 +37,8 @@ __all__ = [
     "BSeq", "ClosureProductRecord", "ComponentReport", "CriterionFails",
     "CrystalSet", "DecompositionReport", "Element",
     "EquivalenceRecord", "EquivalenceViolation", "ExtremalityVerdict",
-    "FormalCharacter", "MismatchWitness", "NonIntegralPairing",
+    "FormalCharacter", "InvariantBroken", "MismatchWitness",
+    "NonIntegralPairing",
     "NonIntegralPath", "NotDominantIntegral", "NotGCM", "NotInSpan",
     "NotSymmetrizable", "PLPath", "PairingInconsistent", "RootDatum",
     "TensorPair", "TopNotInSet", "TruncatedSet",

@@ -14,7 +14,8 @@ Key polynomials live on GL-style data (coordinates Z^m, alpha_i the difference
 of adjacent unit vectors): kappa_c for a composition c is Delta_u e^lambda,
 where lambda sorts c decreasingly and u is the minimal permutation with
 u(lambda) = c.  They form a basis of the span of the monomials, so expansion
-coefficients are obtained degree by degree from an exact linear solve.
+coefficients are obtained degree by degree from the exact inverse of the
+key-to-monomial matrix, which is built and inverted once per degree.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from functools import cache
 from .crystals import CrystalSet
 from .demazure import decompose_tensor, demazure_set
 from .paths import straight_path
-from .rootdata import (Coords, RootDatum, WeylElement, Word, gauss_solve,
-                       min_coset_rep, rational_str, vec, weyl_group_elements)
+from .rootdata import (Coords, InvariantBroken, RootDatum, WeylElement, Word,
+                       _mat_vec, mat_inverse, min_coset_rep, rational_str, vec,
+                       weyl_group_elements)
 
 
 class NonIntegralPairing(ValueError):
@@ -262,7 +264,7 @@ def composition_pair(datum: RootDatum, comp) -> tuple[WeylElement, Coords]:
     lam = vec(c)
     u = min_coset_rep(datum.weyl(tuple(rec)), lam)
     if u.act_weight(lam) != vec(comp):
-        raise AssertionError("sorting word does not map the partition to the composition")
+        raise InvariantBroken("sorting word does not map the partition to the composition")
     return u, lam
 
 
@@ -285,10 +287,11 @@ def _compositions(total: int, parts: int):
 
 @cache
 def _key_basis(datum: RootDatum, degree: int):
-    """The compositions of `degree` into datum.m parts, and the square matrix
-    whose column k holds the monomial coefficients of the k-th one's key
-    polynomial (rows in the same composition order).  Built once per datum
-    and degree; the tuples are shared by every caller."""
+    """The compositions of `degree` into datum.m parts, and the exact inverse
+    of the square matrix whose column k holds the monomial coefficients of
+    the k-th one's key polynomial (rows in the same composition order), or
+    None when that matrix is singular.  Built and inverted once per datum and
+    degree; the tuples are shared by every caller."""
     comps = tuple(_compositions(degree, datum.m))
     pos = {c: k for k, c in enumerate(comps)}
     cols = []
@@ -297,7 +300,7 @@ def _key_basis(datum: RootDatum, degree: int):
         for mu, coeff in key_polynomial(datum, c).terms.items():
             col[pos[_as_composition(mu)]] = coeff
         cols.append(col)
-    return comps, tuple(zip(*cols))
+    return comps, mat_inverse(tuple(zip(*cols)))
 
 
 def key_expand(datum: RootDatum, chi: FormalCharacter) -> dict[tuple[int, ...], int]:
@@ -305,8 +308,10 @@ def key_expand(datum: RootDatum, chi: FormalCharacter) -> dict[tuple[int, ...], 
 
     Works degree by degree: monomial exponents and key labels of one total
     degree form the same finite composition set, and the key-to-monomial
-    matrix is square and invertible, so an exact solve recovers the
-    coefficients.  Raises NotInSpan on fractional or negative exponents.
+    matrix is square and invertible, so its cached exact inverse applied to
+    the monomial coefficients gives the unique solution.  Raises NotInSpan on
+    fractional or negative exponents, a singular basis, or a non-integral
+    coefficient.
     """
     if not is_gl_like(datum):
         raise ValueError("key polynomials need a GL-style datum")
@@ -317,11 +322,10 @@ def key_expand(datum: RootDatum, chi: FormalCharacter) -> dict[tuple[int, ...], 
 
     out: dict[tuple[int, ...], int] = {}
     for d, wanted in sorted(by_degree.items()):
-        comps, matrix = _key_basis(datum, d)
-        rhs = [wanted.get(c, 0) for c in comps]
-        sol = gauss_solve(matrix, rhs)
-        if sol is None:
+        comps, inverse = _key_basis(datum, d)
+        if inverse is None:
             raise NotInSpan(f"degree {d} block is not a key combination")
+        sol = _mat_vec(inverse, [wanted.get(c, 0) for c in comps])
         for c, a in zip(comps, sol):
             if type(a) is not int:
                 raise NotInSpan(f"coefficient of kappa_{c} is non-integral: {a}")

@@ -8,8 +8,9 @@ products on GL-style data.
 
 Exit codes: 0 success, 1 configuration problems (bad flags, malformed datum,
 non-reduced words, windows too small), 2 the support criterion fails, 3 a
-verification that must hold did not.  Output is deterministic: identical
-invocations produce identical bytes.
+verification that must hold did not, or an internal check failed (a crystal
+axiom or another invariant of the program; reported without a traceback).
+Output is deterministic: identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ from .demazure import (CriterionFails, EquivalenceViolation,
                        VerificationMismatch, WindowTooSmall, check_equivalence,
                        decompose_tensor, demazure_set)
 from .paths import straight_path
-from .rootdata import (NotDominantIntegral, NotGCM, NotSymmetrizable,
-                       PairingInconsistent, WordNotReduced, check_reduced,
-                       datum_from_json, parse_weight, parse_word, preset,
-                       rational_str, vsub, weight_str, weyl_group_elements,
-                       word_str)
+from .rootdata import (InvariantBroken, NotDominantIntegral, NotGCM,
+                       NotSymmetrizable, PairingInconsistent, WordNotReduced,
+                       check_reduced, datum_from_json, parse_weight,
+                       parse_word, preset, rational_str, vsub, weight_str,
+                       weyl_group_elements, word_str)
 
 _CONFIG_ERRORS = (NotGCM, NotSymmetrizable, PairingInconsistent,
                   NotDominantIntegral, WordNotReduced, WindowTooSmall,
@@ -335,6 +336,9 @@ def main(argv=None) -> int:
         return 2
     except (VerificationMismatch, EquivalenceViolation) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
+        return 3
+    except InvariantBroken as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
         return 3
     except _CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,7 +25,8 @@ from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
 
-from .rootdata import Coords, RootDatum, rational_str, vadd, weight_str
+from .rootdata import (Coords, InvariantBroken, RootDatum, rational_str, vadd,
+                       weight_str)
 
 
 class Element(ABC):
@@ -62,7 +63,7 @@ class Element(ABC):
             lhs = self.phi(i)
             rhs = self.eps(i) + self.datum.pair(self.wt(), i)
             if lhs != rhs:
-                raise AssertionError(
+                raise InvariantBroken(
                     f"axiom C1 fails at i={i}: phi={lhs}, eps+<wt,a^vee>={rhs}")
 
 
@@ -205,19 +206,19 @@ def _axiom_check(x: Element, i: int, y: Element, direction: str) -> None:
     if direction == "f":
         back = y.e(i)
         if back != x:
-            raise AssertionError(f"axiom C2 fails: e_{i}(f_{i}(x)) != x for {x.payload()}")
+            raise InvariantBroken(f"axiom C2 fails: e_{i}(f_{i}(x)) != x for {x.payload()}")
         want = tuple(a - b for a, b in zip(x.wt(), alpha))
         if y.wt() != want:
-            raise AssertionError(f"axiom C3 fails: wt(f_{i} x) != wt(x) - alpha_{i}")
+            raise InvariantBroken(f"axiom C3 fails: wt(f_{i} x) != wt(x) - alpha_{i}")
         if y.eps(i) != x.eps(i) + 1 or y.phi(i) != x.phi(i) - 1:
-            raise AssertionError(f"axiom C3 fails: string statistics along f_{i}")
+            raise InvariantBroken(f"axiom C3 fails: string statistics along f_{i}")
     else:
         back = y.f(i)
         if back != x:
-            raise AssertionError(f"axiom C2 fails: f_{i}(e_{i}(x)) != x for {x.payload()}")
+            raise InvariantBroken(f"axiom C2 fails: f_{i}(e_{i}(x)) != x for {x.payload()}")
         want = tuple(a + b for a, b in zip(x.wt(), alpha))
         if y.wt() != want:
-            raise AssertionError(f"axiom C3 fails: wt(e_{i} x) != wt(x) + alpha_{i}")
+            raise InvariantBroken(f"axiom C3 fails: wt(e_{i} x) != wt(x) + alpha_{i}")
 
 
 def enumerate_from(seeds, top_wt: Coords, *, window: int | None = None,

@@ -42,9 +42,9 @@ from .crystals import (CrystalSet, Element, MismatchWitness, TensorPair,
                        primitive_elements, product_set, set_from_elements,
                        string_top, t_closure, t_word_closure)
 from .paths import straight_path
-from .rootdata import (Coords, RootDatum, WeylElement, Word, check_reduced,
-                       in_parabolic, min_coset_rep, rational_str, vadd,
-                       weight_str, word_str)
+from .rootdata import (Coords, InvariantBroken, RootDatum, WeylElement, Word,
+                       check_reduced, in_parabolic, min_coset_rep, rational_str,
+                       vadd, weight_str, word_str)
 
 
 class CriterionFails(Exception):
@@ -86,6 +86,11 @@ def demazure_set(seed: Element, w: WeylElement | None = None, *,
     Either a Weyl element (its canonical reduced word is used) or an explicit
     word may be given; explicit words are checked reduced unless opted out.
     A window is mandatory for seeds with unbounded strings (B(infinity)).
+
+    A complete set (no window) depends on the seed and the word alone, so it
+    is built and axiom-checked once per datum and that set is returned to
+    every later caller, who must not mutate it.  Windowed sets are built
+    afresh on every call.
     """
     if word is None:
         if w is None:
@@ -93,10 +98,17 @@ def demazure_set(seed: Element, w: WeylElement | None = None, *,
         word = w.rword
     elif require_reduced:
         check_reduced(seed.datum, word)
+    key = (seed, tuple(word))
+    memo = seed.datum._demazure_sets
+    if window is None and key in memo:
+        return memo[key]
     top_wt = seed.wt()
     els, cut = t_word_closure([seed], word, top_wt, window=window)
-    return set_from_elements(els, top_wt, window=window, truncated=cut,
+    xset = set_from_elements(els, top_wt, window=window, truncated=cut,
                              e_stable=True)
+    if window is None:
+        memo[key] = xset
+    return xset
 
 
 def extremal_element(top: Element, w: WeylElement) -> Element:
@@ -116,7 +128,7 @@ def extremal_element(top: Element, w: WeylElement) -> Element:
         for _ in range(int(c)):
             nxt = cur.f(i)
             if nxt is None:
-                raise AssertionError("string ended before the pairing was exhausted")
+                raise InvariantBroken("string ended before the pairing was exhausted")
             cur = nxt
     return cur
 
@@ -623,13 +635,23 @@ def check_equivalence(datum: RootDatum, v: WeylElement, lam: Coords,
             witness = (f"{len(stray)} elements lie outside every component "
                        f"headed by a primitive pair")
 
+    extremal = ext.status
+    if (xprod.truncated and extremal == "extremal" and not holds
+            and decomposable == "no"):
+        # In a truncated window "extremal" only means that no string through
+        # the window is violated; a violated string may meet the set below it
+        # alone.  A violation seen in the window stays conclusive.
+        extremal = "inconclusive"
+        witness = (f"{witness}; window {xprod.window} is truncated and no string "
+                   f"through it is violated, but a violated string may meet the "
+                   f"set only below it")
     verdicts = {"criterion": holds,
-                "extremal": {"extremal": True, "violated": False}.get(ext.status),
+                "extremal": {"extremal": True, "violated": False}.get(extremal),
                 "decomposable": {"yes": True, "no": False}.get(decomposable)}
     conclusive = {k: val for k, val in verdicts.items() if val is not None}
     agree = len(set(conclusive.values())) <= 1
     record = EquivalenceRecord(
-        criterion=holds, letters=s.letters, extremal=ext.status,
+        criterion=holds, letters=s.letters, extremal=extremal,
         decomposable=decomposable, components=len(prims), agree=agree,
         witness=witness or ext.reason or (f"string violated at color {ext.witness[1]}"
                                           if ext.witness else ""))

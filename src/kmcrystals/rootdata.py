@@ -62,6 +62,11 @@ class WordNotReduced(ValueError):
     """A word handed to an operation that requires reducedness is not reduced."""
 
 
+class InvariantBroken(AssertionError):
+    """An internal invariant failed: a fault in the program, not in its input
+    (a crystal axiom, a sorting word, a string length, a descent strip)."""
+
+
 # ---------------------------------------------------------------------------
 # exact vectors and small rational matrices
 
@@ -120,6 +125,34 @@ def _identity_int(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
+def _gauss_jordan(matrix, rhs):
+    """Solve matrix @ X == rhs by Gauss-Jordan elimination over the rationals.
+
+    `matrix` is a sequence of rows and `rhs` holds one row of right-hand sides
+    per row of `matrix`.  Returns X as a list of tuples, one per column of
+    `matrix`, or None when the columns of `matrix` are dependent or the system
+    is inconsistent.  Every entry follows the scalar rule, so a matrix with
+    unit pivots is reduced in ints alone.
+    """
+    m = [vec(row) + vec(extra) for row, extra in zip(matrix, rhs, strict=True)]
+    nrows, ncols = len(m), len(matrix[0])
+    for c in range(ncols):
+        piv = next((i for i in range(c, nrows) if m[i][c] != 0), None)
+        if piv is None:
+            return None  # column c depends on the earlier ones
+        m[c], m[piv] = m[piv], m[c]
+        if m[c][c] != 1:
+            m[c] = vscale(Fraction(1, m[c][c]), m[c])
+        pivot_row = m[c]
+        for i in range(nrows):
+            f = m[i][c]
+            if i != c and f != 0:
+                m[i] = _ruled(tuple(x - f * y for x, y in zip(m[i], pivot_row)))
+    if any(x != 0 for row in m[ncols:] for x in row[ncols:]):
+        return None  # inconsistent
+    return [row[ncols:] for row in m[:ncols]]
+
+
 def gauss_solve(matrix, rhs):
     """Solve matrix @ x = rhs over the rationals.
 
@@ -127,35 +160,21 @@ def gauss_solve(matrix, rhs):
     the unique solution as a tuple, or None when the system is singular or
     inconsistent.  Intended for the small dense systems this package meets.
     """
-    m = [list(map(Fraction, row)) + [Fraction(v)] for row, v in zip(matrix, rhs, strict=True)]
-    nrows = len(m)
-    ncols = len(m[0]) - 1
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if m[i][ncols] != 0:
-            return None  # inconsistent
-    if len(pivots) < ncols:
-        return None  # underdetermined
-    x: list[Scalar] = [0] * ncols
-    for row, col in pivots:
-        x[col] = _exact(m[row][ncols])
-    return tuple(x)
+    x = _gauss_jordan(matrix, [(v,) for v in rhs])
+    return None if x is None else tuple(row[0] for row in x)
+
+
+def mat_inverse(matrix):
+    """The exact inverse of a square matrix as a tuple of rows, or None when
+    the matrix is singular (or not square).
+
+    >>> mat_inverse([[2, 1], [1, 1]])
+    ((1, -1), (-1, 2))
+    >>> mat_inverse([[1, 2], [2, 4]]) is None
+    True
+    """
+    x = _gauss_jordan(matrix, _identity_int(len(matrix)))
+    return None if x is None else tuple(x)
 
 
 def parse_rational(x) -> Fraction:
@@ -246,14 +265,9 @@ class RootDatum:
         n, m = self.n, self.m
         # gram = R^T R, invertible because the columns of R are independent
         gram = [[_dot(self.roots[a], self.roots[b]) for b in range(n)] for a in range(n)]
-        cols = []
-        for j in range(n):
-            e = [1 if k == j else 0 for k in range(n)]
-            col = gauss_solve(gram, e)
-            if col is None:
-                raise PairingInconsistent("columns of the root matrix are dependent")
-            cols.append(col)
-        ginv = [[cols[j][i] for j in range(n)] for i in range(n)]  # symmetric anyway
+        ginv = mat_inverse(gram)
+        if ginv is None:
+            raise PairingInconsistent("columns of the root matrix are dependent")
         rt = [[self.roots[a][k] for k in range(m)] for a in range(n)]  # R^T rows
         return tuple(tuple(_dot(ginv[i], [rt[a][k] for a in range(n)]) for k in range(m))
                      for i in range(n))
@@ -287,6 +301,12 @@ class RootDatum:
             raise ValueError("weight difference is not an integral root combination")
         drop = self._drops[delta] = sum(c)
         return drop
+
+    # Complete Demazure sets keyed by (seed, word), filled by
+    # `demazure.demazure_set`; they live as long as the datum.
+    @cached_property
+    def _demazure_sets(self) -> dict:
+        return {}
 
     # -- Weyl group ----------------------------------------------------------
 
@@ -541,14 +561,14 @@ def _strip_word(datum: RootDatum, mat: IntMatrix) -> Word:
     cur = mat
     while cur != eye:
         if len(rec) > _STRIP_CAP:
-            raise RuntimeError("descent stripping did not terminate")
+            raise InvariantBroken("descent stripping did not terminate")
         for i in range(1, datum.n + 1):
             if _negates(cur, i):
                 rec.append(i)
                 cur = _mat_mul_int(cur, datum._gen_matrix(i))
                 break
         else:
-            raise RuntimeError("non-identity element with no right descent")
+            raise InvariantBroken("non-identity element with no right descent")
     return tuple(reversed(rec))
 
 

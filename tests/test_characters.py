@@ -201,6 +201,37 @@ def test_key_basis_is_built_once_per_degree(monkeypatch):
     assert len(calls) == len(set(calls)) == 21
 
 
+def test_key_expand_recovers_every_key():
+    GL4 = preset("GL4")
+    for datum, top in ((GL3, 6), (GL4, 4)):
+        for d in range(top + 1):
+            for c in characters._key_basis(datum, d)[0]:
+                assert key_expand(datum, key_polynomial(datum, c)) == {c: 1}
+
+
+def test_key_basis_inverse_is_integral():
+    # the key matrix is upper unitriangular in composition order, so its
+    # inverse is too, and here every entry is -1, 0 or 1
+    for d in range(1, 9):
+        comps, inverse = characters._key_basis(GL3, d)
+        assert len(inverse) == len(comps)
+        assert all(type(x) is int and x in (-1, 0, 1) for row in inverse for x in row)
+        assert all(inverse[i][j] == (i == j) for i in range(len(comps)) for j in range(i + 1))
+
+
+def test_key_expand_rejects_singular_and_fractional_bases(monkeypatch):
+    chi = key_polynomial(GL3, (1, 0, 1))
+    comps = characters._key_basis(GL3, 2)[0]
+    monkeypatch.setattr(characters, "_key_basis", lambda datum, d: (comps, None))
+    with pytest.raises(NotInSpan, match="not a key combination"):
+        key_expand(GL3, chi)
+    half = tuple(tuple(Fraction(int(i == j), 2) for j in range(len(comps)))
+                 for i in range(len(comps)))
+    monkeypatch.setattr(characters, "_key_basis", lambda datum, d: (comps, half))
+    with pytest.raises(NotInSpan, match="non-integral"):
+        key_expand(GL3, chi)
+
+
 def test_key_expand_rejects_outside_span():
     with pytest.raises(NotInSpan):
         key_expand(GL3, _e(GL3, (-1, 1, 0)))

@@ -1,13 +1,21 @@
 """End-to-end command line behavior, run in process."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
-from kmcrystals import cli
+import kmcrystals
+from kmcrystals import cli, demazure
+from kmcrystals.crystals import ExtremalityVerdict
 from kmcrystals.demazure import EquivalenceViolation
+from kmcrystals.paths import PLPath
 from kmcrystals.rootdata import preset
 
 
@@ -104,6 +112,66 @@ def test_check_infinity_depth_zero_is_inconclusive(capsys):
             assert row["extremal"] == "inconclusive" and row["agree"] is True
         else:
             assert row == want
+
+
+def test_check_infinity_shallow_windows_agree(capsys):
+    # at depth 1, two products hold no violated string within the window
+    # though their criterion and decomposability both fail; extremality is
+    # left open there instead of dissenting
+    argv = ("check", "--preset", "A2", "--lambda", "ω1", "--all-vw",
+            "--mode", "infinity", "--format", "json", "--depth")
+    code, out, _ = run(capsys, *argv, "1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["summary"] == {"agree": 36, "criterion_holds": 20,
+                                  "inconclusive": 2, "pairs": 36}
+    opened = [r for r in payload["records"] if r["extremal"] == "inconclusive"]
+    assert [(r["v_word"], r["w_word"]) for r in opened] == [([2, 1], [1, 2]),
+                                                          ([1, 2, 1], [1, 2])]
+    for r in opened:
+        assert not r["criterion"] and r["decomposable"] == "no"
+        assert "window 1 is truncated" in r["witness"]
+    # deeper windows settle every pair; these bytes predate the fix
+    for depth in ("2", "3", "4", "5"):
+        code, out, _ = run(capsys, *argv, depth)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "0899ce187cf6533f7595052a32dfa0ab11bee057d70595042240a2d2cfe1ab86"), depth
+
+
+def test_finite_disagreement_still_exits_three(capsys, monkeypatch):
+    # a complete set keeps conclusive verdicts: a forced "extremal" against a
+    # failing criterion is still a violation
+    monkeypatch.setattr(demazure, "is_extremal",
+                        lambda *a, **kw: ExtremalityVerdict("extremal"))
+    code, out, err = run(capsys, "check", "--preset", "A2", "--lambda", "1,1",
+                         "--mu", "1,1", "--v", "1", "--w", "2")
+    assert code == 3 and out == ""
+    assert err.startswith("verification failed: conclusive disagreement")
+
+
+def test_internal_check_failure_exits_three(capsys, monkeypatch):
+    # the graph build checks axiom C1 on every path it enumerates
+    real = PLPath.phi
+    monkeypatch.setattr(PLPath, "phi", lambda self, i: real(self, i) + (i == 2))
+    code, out, err = run(capsys, "graph", "--preset", "A2", "--lambda", "1,1",
+                         "--w", "1,2,1")
+    assert code == 3 and out == ""
+    assert err.startswith("internal check failed: axiom C1 fails")
+    assert "Traceback" not in err
+
+
+def test_python_m_runs_the_cli(capsys):
+    argv = ["graph", "--preset", "A2", "--lambda", "1,1", "--w", "1,2", "--format", "json"]
+    code, direct, _ = run(capsys, *argv)
+    assert code == 0
+    src = str(Path(kmcrystals.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "kmcrystals", *argv], env=env,
+                          capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == direct
 
 
 def test_graph_dot_and_json(capsys, tmp_path):

@@ -17,8 +17,8 @@ from kmcrystals.crystals import (
     tensor,
 )
 from kmcrystals.demazure import demazure_set
-from kmcrystals.paths import straight_path
-from kmcrystals.rootdata import preset, vadd, vec
+from kmcrystals.paths import PLPath, straight_path
+from kmcrystals.rootdata import InvariantBroken, preset, vadd, vec
 
 A1 = preset("A1")
 A2 = preset("A2")
@@ -188,6 +188,19 @@ def test_enumerate_checks_axioms():
     assert xset.max_depth() == 4
     closure, cut = t_word_closure([top], (1, 2, 1), lam)
     assert not cut and len(set(closure)) == 8
+
+
+def test_broken_axioms_raise_invariant_broken(monkeypatch):
+    lam = vec((1, 1))
+    top = straight_path(A2, lam)
+    monkeypatch.setattr(PLPath, "e", lambda self, i: None)  # breaks C2
+    with pytest.raises(InvariantBroken, match="axiom C2 fails"):
+        enumerate_from([top], lam, check_axioms=True)
+    monkeypatch.undo()
+    real = PLPath.eps
+    monkeypatch.setattr(PLPath, "eps", lambda self, i: real(self, i) + 1)  # breaks C1
+    with pytest.raises(InvariantBroken, match="axiom C1 fails"):
+        top.check_c1()
 
 
 def test_crystal_set_serialization():

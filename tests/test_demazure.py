@@ -1,5 +1,7 @@
 """Demazure closures, the support criterion, recognition, decomposition."""
 
+from fractions import Fraction
+
 import pytest
 
 import kmcrystals.demazure as dz
@@ -69,6 +71,45 @@ def test_demazure_set_and_words():
         demazure_set(seed, word=(1, 1))
     loose = demazure_set(seed, word=(1, 1), require_reduced=False)
     assert loose.element_set() == demazure_set(seed, word=(1,)).element_set()
+
+
+def test_complete_demazure_sets_are_built_once(monkeypatch):
+    A2 = preset("A2")  # a fresh datum, so the memo starts empty
+    seed, w = straight_path(A2, vec((1, 1))), A2.weyl((1, 2, 1))
+    builds = []
+    real = dz.set_from_elements
+    monkeypatch.setattr(dz, "set_from_elements",
+                        lambda *a, **kw: builds.append(kw["window"]) or real(*a, **kw))
+    first = demazure_set(seed, w)
+    assert demazure_set(seed, w) is first
+    assert demazure_set(seed, word=w.rword) is first
+    assert builds == [None]
+    els, cut = t_word_closure([seed], w.rword, seed.wt())
+    fresh = set_from_elements(els, seed.wt(), truncated=cut, e_stable=True)
+    assert (first.elements, first.depths, first.edges) == (fresh.elements, fresh.depths,
+                                                          fresh.edges)
+    assert (first.window, first.truncated, first.e_stable) == (None, False, True)
+    # windowed sets, finite or B(infinity), are never shared
+    cut_set = demazure_set(seed, w, window=1)
+    assert cut_set is not demazure_set(seed, w, window=1) and cut_set is not first
+    inf = demazure_set(binf_top(A2), w, window=3)
+    assert inf is not demazure_set(binf_top(A2), w, window=3)
+    assert builds == [None, 1, 1, 3, 3]
+    assert len(A2._demazure_sets) == 1
+
+
+def test_demazure_memo_is_per_datum():
+    # a realization with halved roots, under the preset's name
+    A2, other = preset("A2"), validate_root_datum(
+        "A2", 2, 2, [[2, -1], [-1, 2]], roots=[(1, Fraction(-1, 2)), (Fraction(-1, 2), 1)],
+        pairing=[(2, 0), (0, 2)], fundamentals=[(Fraction(1, 2), 0), (0, Fraction(1, 2))])
+    w = A2.weyl((1, 2))
+    mine = demazure_set(straight_path(A2, vec((1, 0))), w)
+    theirs = demazure_set(straight_path(other, vec((Fraction(1, 2), 0))), other.weyl((1, 2)))
+    assert A2._demazure_sets is not other._demazure_sets
+    assert all(x.datum is A2 for x in mine) and all(x.datum is other for x in theirs)
+    assert [x.wt() for x in theirs] == [tuple(c / 2 for c in x.wt()) for x in mine]
+    assert preset("A2")._demazure_sets == {}
 
 
 def test_dichotomy_finite():

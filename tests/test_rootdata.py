@@ -1,6 +1,7 @@
 """Root data, Weyl elements, and the parsing helpers."""
 
 import doctest
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from kmcrystals.rootdata import (
     datum_from_json,
     gauss_solve,
     in_parabolic,
+    mat_inverse,
     min_coset_rep,
     parse_rational,
     parse_weight,
@@ -55,6 +57,66 @@ def test_gauss_solve():
     assert gauss_solve([[1, 1], [2, 2]], (1, 3)) is None
     x = gauss_solve([[2, 0], [0, 3]], (1, 1))
     assert x == (Fraction(1, 2), Fraction(1, 3))
+
+
+def _mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _random_matrices(rng, rational):
+    for _ in range(60):
+        n = rng.randrange(1, 6)
+        if rational:
+            yield [[Fraction(rng.randrange(-6, 7), rng.randrange(1, 5)) for _ in range(n)]
+                   for _ in range(n)]
+        else:
+            yield [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["int", "rational"])
+def test_mat_inverse_inverts(rational):
+    rng = random.Random(5 + rational)
+    inverted = 0
+    for m in _random_matrices(rng, rational):
+        n = len(m)
+        inv = mat_inverse(m)
+        if inv is None:
+            continue
+        inverted += 1
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert _mat_mul(inv, m) == eye and _mat_mul(m, inv) == eye
+        for row in inv:
+            for x in row:  # the scalar rule
+                assert type(x) is int or x.denominator > 1
+        # one elimination: the inverse's columns are gauss_solve's solutions
+        for j in range(n):
+            assert tuple(row[j] for row in inv) == gauss_solve(m, eye[j])
+    assert inverted >= 40
+
+
+def test_mat_inverse_of_singular_matrices():
+    rng = random.Random(9)
+    for _ in range(30):
+        n = rng.randrange(2, 6)
+        rows = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n - 1)]
+        coeffs = [Fraction(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in rows]
+        dependent = [sum(c * r[k] for c, r in zip(coeffs, rows)) for k in range(n)]
+        m = rows[:]
+        m.insert(rng.randrange(n), dependent)
+        assert mat_inverse(m) is None
+        assert gauss_solve(m, [1] * n) is None
+    assert mat_inverse([[0, 0], [0, 0]]) is None
+    assert mat_inverse([[1, 2, 3], [4, 5, 6]]) is None  # not square
+    assert mat_inverse([[1]]) == ((1,),)
+    assert mat_inverse([[Fraction(4, 2)]]) == ((Fraction(1, 2),),)
+
+
+def test_singular_gram_is_pairing_inconsistent():
+    # affine A1^(1) in one coordinate reproduces its singular Cartan matrix,
+    # but its two roots are proportional, so R^T R has no inverse
+    with pytest.raises(PairingInconsistent, match="dependent"):
+        validate_root_datum("bad", 2, 1, [[2, -2], [-2, 2]],
+                            roots=[(2,), (-2,)], pairing=[(1,), (-1,)])
 
 
 def test_rational_round_trip():
