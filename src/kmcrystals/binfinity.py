@@ -30,15 +30,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .crystals import Element
-from .rootdata import Coords, RootDatum, rational_str, vec, vsub, vscale, vzero
+from .crystals import Element, memoised_edge
+from .rootdata import Coords, RootDatum, _ruled, rational_str, vec, vzero
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BSeq(Element):
     datum: RootDatum
     entries: tuple[int, ...] = ()
     offset: Coords = field(default=())
+    # hash of the compared fields, computed once: every memo lookup hashes
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ent = tuple(int(a) for a in self.entries)
@@ -53,16 +55,24 @@ class BSeq(Element):
         if not self.datum.is_integral(off):
             raise ValueError("offset must be an integral weight")
         object.__setattr__(self, "offset", off)
+        object.__setattr__(self, "_hash", hash((self.datum, ent, off)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def iota(self, k: int) -> int:
         return ((k - 1) % self.datum.n) + 1
 
     def wt(self) -> Coords:
+        # sum the entries of each colour, then subtract one multiple of each
+        # simple root; the scalar rule is applied once, to the result
+        n = self.datum.n
         out = self.offset
-        for k, a in enumerate(self.entries, start=1):
-            if a:
-                out = vsub(out, vscale(a, self.datum.simple_root(self.iota(k))))
-        return out
+        for c, root in enumerate(self.datum.roots):
+            total = sum(self.entries[c::n])
+            if total:
+                out = tuple(x - total * r for x, r in zip(out, root))
+        return _ruled(out)
 
     @classmethod
     def _derived(cls, datum: RootDatum, entries: tuple[int, ...], offset: Coords) -> "BSeq":
@@ -78,6 +88,7 @@ class BSeq(Element):
         object.__setattr__(x, "datum", datum)
         object.__setattr__(x, "entries", entries)
         object.__setattr__(x, "offset", offset)
+        object.__setattr__(x, "_hash", hash((datum, entries, offset)))
         return x
 
     def _brackets(self, i: int) -> list[tuple[int, int]]:
@@ -109,6 +120,7 @@ class BSeq(Element):
         drop = sum(a * row[k % n] for k, a in enumerate(self.entries))
         return self.eps(i) + self.datum.pair(self.offset, i) - drop
 
+    @memoised_edge
     def e(self, i: int) -> "BSeq | None":
         br = self._brackets(i)
         if not br:
@@ -121,6 +133,7 @@ class BSeq(Element):
         ent[k - 1] -= 1
         return BSeq._derived(self.datum, tuple(ent), self.offset)
 
+    @memoised_edge
     def f(self, i: int) -> "BSeq":
         # P and B share maximizers; the virtual tail position has B = 0
         br = self._brackets(i)

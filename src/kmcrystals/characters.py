@@ -21,7 +21,6 @@ key-to-monomial matrix, which is built and inverted once per degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 from .crystals import CrystalSet
 from .demazure import decompose_tensor, demazure_set
@@ -285,13 +284,16 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-@cache
 def _key_basis(datum: RootDatum, degree: int):
     """The compositions of `degree` into datum.m parts, and the exact inverse
     of the square matrix whose column k holds the monomial coefficients of
     the k-th one's key polynomial (rows in the same composition order), or
     None when that matrix is singular.  Built and inverted once per datum and
-    degree; the tuples are shared by every caller."""
+    degree and kept on the datum (`RootDatum._key_bases`), so it is freed
+    with it; the tuples are shared by every caller."""
+    basis = datum._key_bases.get(degree)
+    if basis is not None:
+        return basis
     comps = tuple(_compositions(degree, datum.m))
     pos = {c: k for k, c in enumerate(comps)}
     cols = []
@@ -300,7 +302,8 @@ def _key_basis(datum: RootDatum, degree: int):
         for mu, coeff in key_polynomial(datum, c).terms.items():
             col[pos[_as_composition(mu)]] = coeff
         cols.append(col)
-    return comps, mat_inverse(tuple(zip(*cols)))
+    basis = datum._key_bases[degree] = (comps, mat_inverse(tuple(zip(*cols))))
+    return basis
 
 
 def key_expand(datum: RootDatum, chi: FormalCharacter) -> dict[tuple[int, ...], int]:

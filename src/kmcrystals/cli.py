@@ -139,7 +139,7 @@ def _dumps(obj) -> str:
 
 
 def _nu_decomposed(datum, lam, nu) -> str:
-    """Render nu as λ minus a sum of simple roots, e.g. "λ-α1-2α2"."""
+    """Render nu as λ plus or minus simple roots, e.g. "λ-α1-2α2" or "λ+α3"."""
     coeffs = datum.root_coords(vsub(lam, nu))
     if coeffs is None:
         return weight_str(nu)
@@ -147,8 +147,8 @@ def _nu_decomposed(datum, lam, nu) -> str:
     for i, c in enumerate(coeffs, start=1):
         if c == 0:
             continue
-        mag = "" if c == 1 else rational_str(c)
-        parts.append(f"-{mag}α{i}")
+        mag = "" if abs(c) == 1 else rational_str(abs(c))
+        parts.append(f"{'-' if c > 0 else '+'}{mag}α{i}")
     return "λ" + "".join(parts)
 
 

@@ -17,13 +17,18 @@ Depth is always the height of the weight drop from the ambient top: each f
 step increases it by exactly one and each e step lowers it by one, so the
 walk computes weight drops only for its seeds, and truncating an enumeration
 at depth D yields precisely the true set cut at D.
+
+Every model's e_i and f_i are wrapped by `memoised_edge`, so each crystal
+edge is computed once per datum (`RootDatum._edges`) however many closures,
+peelings, walks and matchings cross it.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import wraps
 
 from .rootdata import (Coords, InvariantBroken, RootDatum, rational_str, vadd,
                        weight_str)
@@ -32,6 +37,8 @@ from .rootdata import (Coords, InvariantBroken, RootDatum, rational_str, vadd,
 class Element(ABC):
     """Common interface for crystal elements.  Instances are immutable,
     hashable, and compare by value."""
+
+    __slots__ = ()
 
     datum: RootDatum
 
@@ -67,7 +74,28 @@ class Element(ABC):
                     f"axiom C1 fails at i={i}: phi={lhs}, eps+<wt,a^vee>={rhs}")
 
 
-@dataclass(frozen=True)
+def memoised_edge(op):
+    """Wrap the root operator `op` (a model's `e` or `f`) in the per-datum memo.
+
+    The first call on (element, colour) runs `op` and stores its result, None
+    included, in the element's datum (`RootDatum._edges`); every later call
+    returns the stored result.  The operators are pure, so this changes no
+    result.  The raw operator stays reachable as `__wrapped__`.
+    """
+    name = op.__name__
+
+    @wraps(op)
+    def memoised(self, i):
+        table = self.datum._edges[name][i]
+        out = table.get(self, table)
+        if out is table:
+            out = table[self] = op(self, i)
+        return out
+
+    return memoised
+
+
+@dataclass(frozen=True, slots=True)
 class TensorPair(Element):
     """b1 (x) b2 with the Kashiwara convention.
 
@@ -78,6 +106,14 @@ class TensorPair(Element):
 
     left: Element
     right: Element
+    # hash of the compared fields, computed once: every memo lookup hashes
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def datum(self) -> RootDatum:  # type: ignore[override]
@@ -92,6 +128,7 @@ class TensorPair(Element):
     def phi(self, i: int) -> int:
         return self.right.phi(i) + max(0, self.left.phi(i) - self.right.eps(i))
 
+    @memoised_edge
     def e(self, i: int) -> "Element | None":
         if self.left.phi(i) >= self.right.eps(i):
             up = self.left.e(i)
@@ -99,6 +136,7 @@ class TensorPair(Element):
         up = self.right.e(i)
         return None if up is None else TensorPair(self.left, up)
 
+    @memoised_edge
     def f(self, i: int) -> "Element | None":
         if self.left.phi(i) > self.right.eps(i):
             down = self.left.f(i)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .crystals import Element
+from .crystals import Element, memoised_edge
 from .rootdata import (Coords, RootDatum, Scalar, rational_str, vadd, vec, vsub,
                        vscale, vzero)
 
@@ -98,6 +98,7 @@ class PLPath(Element):
         # base + s_i(v - base) = v - <v - base, alpha_i^vee> alpha_i
         return vsub(v, vscale(self.datum.pair(vsub(v, base), i), self.datum.simple_root(i)))
 
+    @memoised_edge
     def f(self, i: int) -> "PLPath | None":
         h, m = self._min_height(i)
         if h[-1] - m < 1:
@@ -123,6 +124,7 @@ class PLPath(Element):
                + tuple(vsub(v, alpha) for v in tail))
         return PLPath(self.datum, new)
 
+    @memoised_edge
     def e(self, i: int) -> "PLPath | None":
         h, m = self._min_height(i)
         if m == 0:

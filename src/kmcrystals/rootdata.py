@@ -308,6 +308,28 @@ class RootDatum:
     def _demazure_sets(self) -> dict:
         return {}
 
+    @cached_property
+    def _edges(self) -> dict[str, dict[int, dict]]:
+        """The crystal edges computed so far: for "e" and "f" and each colour
+        i, a dict from an element to e_i or f_i of it (None included).
+
+        Filled by `crystals.memoised_edge`, which wraps the root operators of
+        every model.  The memo lives exactly as long as the datum: there is no
+        size limit and no eviction, and an element is looked up only in the
+        memo of its own datum object, so equal but distinct data never share
+        entries.  Its elements point back at the datum, so the two form a
+        reference cycle and are reclaimed together by the cyclic garbage
+        collector once nothing else holds the datum.  The CLI builds a fresh
+        datum per command, so each command's memo is freed with its datum.
+        """
+        return {op: {i: {} for i in range(1, self.n + 1)} for op in ("e", "f")}
+
+    # Key bases keyed by degree, filled by `characters._key_basis`; they live
+    # as long as the datum.
+    @cached_property
+    def _key_bases(self) -> dict:
+        return {}
+
     # -- Weyl group ----------------------------------------------------------
 
     def _gen_matrix(self, i: int) -> IntMatrix:

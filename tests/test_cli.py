@@ -1,10 +1,12 @@
 """End-to-end command line behavior, run in process."""
 
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import weakref
 from importlib import resources
 from pathlib import Path
 
@@ -38,6 +40,18 @@ def test_decompose_table(capsys):
     assert "criterion holds" in out
     assert "components" in out and "partition ok" in out
     assert "v = s1" in out
+
+
+def test_decompose_table_nu_above_lambda(capsys):
+    # ν = (1,1,1) = λ+α1+α2+α3 lies above λ = ω2: the column adds roots
+    code, out, _ = run(capsys, "decompose", "--preset", "A3", "--lambda", "ω2",
+                       "--v", "2", "--w", "2,1,3,2", "--mu", "1,0,1")
+    assert code == 0
+    rows = {line.split()[2]: line.split()[3] for line in out.splitlines()
+            if line.startswith("   ") and line.split()[0].isdigit()}
+    assert rows == {"(1,1,1)": "λ+α1+α2+α3", "(0,0,2)": "λ+α3",
+                    "(2,0,0)": "λ+α1", "(0,1,0)": "λ"}
+    assert "--" not in out
 
 
 def test_decompose_json_schema_and_determinism(capsys):
@@ -261,6 +275,24 @@ def test_keyprod_gl2(capsys):
     assert ident[0]["expansion"] == {"2,0": 1}
     code, out2, _ = run(capsys, *argv)
     assert out == out2
+
+
+def test_keyprod_frees_its_datum(capsys, monkeypatch):
+    # the key bases and the edge memo live on the command's datum, so nothing
+    # keeps it alive once the command returns
+    made = []
+
+    def recording_preset(name):
+        datum = preset(name)
+        made.append(weakref.ref(datum))
+        return datum
+
+    monkeypatch.setattr(cli, "preset", recording_preset)
+    code, _, _ = run(capsys, "keyprod", "--preset", "GL3", "--lambda", "1,1,0",
+                     "--mu", "1,0,0", "--format", "json")
+    assert code == 0 and len(made) == 1
+    gc.collect()
+    assert made[0]() is None
 
 
 def test_keyprod_table(capsys):

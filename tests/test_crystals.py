@@ -1,7 +1,10 @@
-"""Tensor products, components, strings, extremality, matching."""
+"""Tensor products, components, strings, extremality, matching, the edge memo."""
+
+from fractions import Fraction
 
 import pytest
 
+from kmcrystals.binfinity import BSeq, binf_top
 from kmcrystals.crystals import (
     MismatchWitness,
     TensorPair,
@@ -18,10 +21,36 @@ from kmcrystals.crystals import (
 )
 from kmcrystals.demazure import demazure_set
 from kmcrystals.paths import PLPath, straight_path
-from kmcrystals.rootdata import InvariantBroken, preset, vadd, vec
+from kmcrystals.rootdata import (InvariantBroken, preset, vadd, validate_root_datum,
+                                 vec, vscale, vsub)
 
 A1 = preset("A1")
 A2 = preset("A2")
+
+
+def _rank2(name, cartan):
+    # fundamental-weight coordinates: alpha_j is column j of the Cartan matrix
+    return validate_root_datum(name, 2, 2, cartan,
+                               roots=[(cartan[0][j], cartan[1][j]) for j in (0, 1)],
+                               pairing=[(1, 0), (0, 1)])
+
+
+# a realization of A2 with halved roots, so weights carry Fractions
+HALVED_A2 = validate_root_datum(
+    "A2", 2, 2, [[2, -1], [-1, 2]], roots=[(1, Fraction(-1, 2)), (Fraction(-1, 2), 1)],
+    pairing=[(2, 0), (0, 2)])
+
+# each datum with a dominant weight whose B(lambda) the memo tests walk;
+# affine A1^(1) keeps its two simple roots independent with a third coordinate
+MEMO_DATA = {
+    "A2": (A2, (1, 1)),
+    "A2-halved": (HALVED_A2, (Fraction(1, 2), Fraction(1, 2))),
+    "B2": (_rank2("B2", [[2, -2], [-1, 2]]), (1, 1)),
+    "G2": (_rank2("G2", [[2, -1], [-3, 2]]), (1, 1)),
+    "A1^(1)": (validate_root_datum("A1^(1)", 2, 3, [[2, -2], [-2, 2]],
+                                   roots=[(2, -2, 1), (-2, 2, 0)],
+                                   pairing=[(1, 0, 0), (0, 1, 0)]), (1, 1, 0)),
+}
 
 
 def _blam(datum, lam, word):
@@ -210,3 +239,76 @@ def test_crystal_set_serialization():
     assert blob["meta"]["size"] == 3
     dot = xset.to_dot()
     assert dot.startswith("digraph") and " -> " in dot and '[label="1"]' in dot
+
+
+# ---------------------------------------------------------------------------
+# the per-datum edge memo
+
+
+def _assert_memo_matches_raw(xset):
+    """Every memoised e_i/f_i on the set equals the raw operator, and a second
+    call returns the stored object."""
+    for x in xset:
+        for i in range(1, xset.datum.n + 1):
+            for op in ("e", "f"):
+                raw = getattr(type(x), op).__wrapped__(x, i)
+                got = getattr(x, op)(i)
+                assert got == raw and getattr(x, op)(i) is got
+                assert xset.datum._edges[op][i][x] is got
+
+
+@pytest.mark.parametrize("name", list(MEMO_DATA))
+def test_memoised_operators_equal_raw_ones(name):
+    datum, lam = MEMO_DATA[name]
+    lam = vec(lam)
+    # B(lambda) (cut for the affine datum), B(infinity) to depth 4, and one
+    # component of B(lambda) (x) B(infinity)
+    window = 4 if name == "A1^(1)" else None
+    paths = enumerate_from([straight_path(datum, lam)], lam, window=window,
+                           check_axioms=False)
+    binf = enumerate_from([binf_top(datum)], vec((0,) * datum.m), window=4,
+                          check_axioms=False)
+    component = enumerate_from([TensorPair(straight_path(datum, lam), binf_top(datum))],
+                               lam, window=3, member=lambda x: True)
+    assert len(paths) > 1 and len(binf) > 1 and len(component) > 1
+    for xset in (paths, binf, component):
+        _assert_memo_matches_raw(xset)
+    # wt sums each colour's entries before subtracting; the per-entry sum
+    # gives the same scalars, types included
+    for x in binf:
+        want = x.offset
+        for k, a in enumerate(x.entries, start=1):
+            want = vsub(want, vscale(a, datum.simple_root(x.iota(k))))
+        assert x.wt() == want and list(map(type, x.wt())) == list(map(type, want))
+
+
+def test_edge_memo_is_per_datum():
+    first, second = preset("A2"), preset("A2")
+    assert first == second and first is not second
+    tops = ((first, vec((1, 1))), (second, vec((1, 1))),
+            (HALVED_A2, vec((Fraction(1, 2), Fraction(1, 2)))))
+    sets = [enumerate_from([TensorPair(straight_path(d, lam), binf_top(d))], lam,
+                           window=3, member=lambda x: True) for d, lam in tops]
+    assert sets[0].elements == sets[1].elements
+    for d, _ in tops:
+        stored = [(x, y) for op in d._edges.values() for table in op.values()
+                  for x, y in table.items()]
+        assert stored
+        assert all(x.datum is d and (y is None or y.datum is d) for x, y in stored)
+    assert len({id(d._edges) for d, _ in tops}) == 3
+
+
+def test_slotted_elements_hash_once():
+    top = binf_top(A2, vec((2, 0)))
+    pair = TensorPair(straight_path(A2, vec((1, 0))), top)
+    for x in (top, top.f(1), pair, pair.f(1)):
+        assert not hasattr(x, "__dict__")
+    # equal elements built with int and with Fraction offsets hash alike
+    by_int = BSeq(A2, (1, 2), (2, 0))
+    by_fraction = BSeq(A2, (1, 2, 0), (Fraction(2), Fraction(0)))
+    derived = top.f(1).f(2).f(2)  # built by e/f, not by the constructor
+    for x in (by_fraction, derived):
+        assert x == by_int and hash(x) == hash(by_int)
+    left = straight_path(A2, vec((1, 0)))
+    assert TensorPair(left, by_int) == TensorPair(left, by_fraction)
+    assert hash(TensorPair(left, by_int)) == hash(TensorPair(left, by_fraction))
