@@ -6,9 +6,8 @@ from .binfinity import BSeq, binf_top
 from .characters import (FormalCharacter, NonIntegralPairing, NotInSpan,
                          TruncatedSet, char_of_set, composition_pair,
                          demazure_character, demazure_op, demazure_word_op,
-                         is_gl_like, key_expand, key_polynomial,
-                         verify_demazure_character, verify_key_positivity,
-                         verify_product_identity)
+                         key_expand, key_polynomial, verify_demazure_character,
+                         verify_key_positivity, verify_product_identity)
 from .crystals import (CrystalSet, Element, ExtremalityVerdict, MismatchWitness,
                        TensorPair, enumerate_from, i_string, is_extremal,
                        is_primitive_pair, match_highest_weight,
@@ -50,7 +49,7 @@ __all__ = [
     "decompose_tensor", "demazure_character",
     "demazure_op", "demazure_set", "demazure_word_op", "enumerate_from",
     "extremal_element", "i_string", "in_parabolic", "is_extremal",
-    "is_gl_like", "is_primitive_pair", "key_expand", "key_polynomial",
+    "is_primitive_pair", "key_expand", "key_polynomial",
     "match_highest_weight", "min_coset_rep", "parse_weight", "parse_word",
     "preset", "primitive_elements", "product_set", "recognize_demazure",
     "set_from_elements", "stabilizer_letters", "straight_path", "t_closure",

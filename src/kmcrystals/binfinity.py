@@ -60,6 +60,10 @@ class BSeq(Element):
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # rebuilt when loaded, so the hash is that of the loading process
+        return type(self), (self.datum, self.entries, self.offset)
+
     def iota(self, k: int) -> int:
         return ((k - 1) % self.datum.n) + 1
 

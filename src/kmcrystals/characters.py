@@ -10,24 +10,26 @@ m = <mu, alpha_i^vee>:
     m == -1  ->   0
     m <= -2  ->  -(e^{mu+alpha_i} + ... + e^{mu+(-m-1) alpha_i})
 
-Key polynomials live on GL-style data (coordinates Z^m, alpha_i the difference
-of adjacent unit vectors): kappa_c for a composition c is Delta_u e^lambda,
-where lambda sorts c decreasingly and u is the minimal permutation with
-u(lambda) = c.  They form a basis of the span of the monomials, so expansion
-coefficients are obtained degree by degree from the exact inverse of the
-key-to-monomial matrix, which is built and inverted once per degree.
+Keys are the Demazure characters kappa_mu = Delta_u e^lambda, one for each
+integral weight mu of a finite-type datum: lambda is the dominant conjugate of
+mu and u the minimal Weyl element with u(lambda) = mu.  On GL data they are
+the key polynomials of compositions.  They form a basis of the span of the
+integral exponentials, and `key_expand` finds the coordinates of a character
+by peeling leading terms against the Demazure operators.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from math import lcm
 
 from .crystals import CrystalSet
 from .demazure import decompose_tensor, demazure_set
 from .paths import straight_path
 from .rootdata import (Coords, InvariantBroken, RootDatum, WeylElement, Word,
-                       _mat_vec, mat_inverse, min_coset_rep, rational_str, vec,
-                       weyl_group_elements)
+                       _dot, min_coset_rep, rational_str, vec, vscale,
+                       weight_str, weyl_group_elements)
 
 
 class NonIntegralPairing(ValueError):
@@ -216,124 +218,81 @@ def verify_product_identity(datum: RootDatum, v: WeylElement, lam: Coords,
 
 
 # ---------------------------------------------------------------------------
-# key polynomials (GL-style data)
+# Demazure characters as keys
 
 
-def is_gl_like(datum: RootDatum) -> bool:
-    """Coordinates Z^m with alpha_i = e_i - e_{i+1} on both sides of the pairing."""
-    if datum.m != datum.n + 1:
-        return False
-    for i in range(1, datum.n + 1):
-        want = tuple(1 if j == i - 1 else -1 if j == i else 0 for j in range(datum.m))
-        if datum.simple_root(i) != want:
-            return False
-        if tuple(datum.pairing[i - 1]) != want:
-            return False
-    return True
+def _reflect_to_dominant(datum: RootDatum, mu: Coords) -> tuple[Word, Coords]:
+    """A reduced word for the minimal u with u(lambda) = mu, and the dominant
+    conjugate lambda of the integral weight `mu`.
 
-
-def _as_composition(mu: Coords) -> tuple[int, ...]:
-    out = []
-    for x in mu:
-        if type(x) is not int or x < 0:
-            raise NotInSpan(f"weight entry {x} is not a nonnegative integer")
-        out.append(x)
-    return tuple(out)
-
-
-def composition_pair(datum: RootDatum, comp) -> tuple[WeylElement, Coords]:
-    """The pair (u, lambda) with lambda the decreasing sort of `comp` and u the
-    minimal permutation mapping lambda to comp.
-
-    Adjacent swaps that fix an ascent, taken leftmost first, both sort the
-    composition and spell a word for u when read in the order recorded.
+    While <mu, alpha_i^vee> < 0 for some i, reflect by the smallest such s_i;
+    the letters, read in the order recorded, spell the word.  Finite type
+    only: the loop takes at most as many steps as there are positive roots.
     """
-    c = [int(x) for x in comp]
-    if any(x < 0 for x in c):
-        raise ValueError("composition entries must be nonnegative")
-    if len(c) != datum.m:
-        raise ValueError(f"composition length {len(c)} != coordinate rank {datum.m}")
-    rec: list[int] = []
-    while True:
-        j = next((j for j in range(len(c) - 1) if c[j] < c[j + 1]), None)
-        if j is None:
-            break
-        c[j], c[j + 1] = c[j + 1], c[j]
-        rec.append(j + 1)
-    lam = vec(c)
-    u = min_coset_rep(datum.weyl(tuple(rec)), lam)
-    if u.act_weight(lam) != vec(comp):
-        raise InvariantBroken("sorting word does not map the partition to the composition")
+    steps = len(datum.positive_roots) + 1  # ValueError off finite type
+    if len(mu) != datum.m:
+        raise ValueError(f"weight length {len(mu)} != coordinate rank {datum.m}")
+    if not datum.is_integral(mu):
+        raise NotInSpan(f"weight {weight_str(mu)} is not integral")
+    lam, rec = mu, []
+    for _ in range(steps):
+        i = next((i for i in range(1, datum.n + 1) if datum.pair(lam, i) < 0), None)
+        if i is None:
+            return tuple(rec), lam
+        lam = datum.reflect_weight(i, lam)
+        rec.append(i)
+    raise InvariantBroken("reflecting to the dominant chamber took more steps "
+                          "than there are positive roots")
+
+
+def composition_pair(datum: RootDatum, mu) -> tuple[WeylElement, Coords]:
+    """The pair (u, lambda) of `_reflect_to_dominant`, with u as an element.
+
+    On GL data the reflections are the adjacent swaps that sort a composition
+    decreasingly, leftmost ascent first.
+    """
+    mu = vec(mu)
+    word, lam = _reflect_to_dominant(datum, mu)
+    u = datum.weyl(word)
+    if u.length != len(word) or u.act_weight(lam) != mu:
+        raise InvariantBroken("the reflecting word is not a reduced word of u")
     return u, lam
 
 
-def key_polynomial(datum: RootDatum, comp) -> FormalCharacter:
-    """kappa_comp = Delta_u e^lambda for (u, lambda) = composition_pair(comp)."""
-    if not is_gl_like(datum):
-        raise ValueError("key polynomials need a GL-style datum")
-    u, lam = composition_pair(datum, comp)
+def key_polynomial(datum: RootDatum, mu) -> FormalCharacter:
+    """kappa_mu = Delta_u e^lambda for (u, lambda) = composition_pair(mu)."""
+    u, lam = composition_pair(datum, mu)
     return demazure_word_op(FormalCharacter.monomial(datum, lam), u.rword)
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+def key_expand(datum: RootDatum, chi: FormalCharacter) -> dict[Coords, int]:
+    """Integer coordinates of `chi` in the keys kappa_mu, by peeling.
 
-
-def _key_basis(datum: RootDatum, degree: int):
-    """The compositions of `degree` into datum.m parts, and the exact inverse
-    of the square matrix whose column k holds the monomial coefficients of
-    the k-th one's key polynomial (rows in the same composition order), or
-    None when that matrix is singular.  Built and inverted once per datum and
-    degree and kept on the datum (`RootDatum._key_bases`), so it is freed
-    with it; the tuples are shared by every caller."""
-    basis = datum._key_bases.get(degree)
-    if basis is not None:
-        return basis
-    comps = tuple(_compositions(degree, datum.m))
-    pos = {c: k for k, c in enumerate(comps)}
-    cols = []
-    for c in comps:
-        col = [0] * len(comps)
-        for mu, coeff in key_polynomial(datum, c).terms.items():
-            col[pos[_as_composition(mu)]] = coeff
-        cols.append(col)
-    basis = datum._key_bases[degree] = (comps, mat_inverse(tuple(zip(*cols))))
-    return basis
-
-
-def key_expand(datum: RootDatum, chi: FormalCharacter) -> dict[tuple[int, ...], int]:
-    """Integer coordinates of `chi` in the key polynomial basis.
-
-    Works degree by degree: monomial exponents and key labels of one total
-    degree form the same finite composition set, and the key-to-monomial
-    matrix is square and invertible, so its cached exact inverse applied to
-    the monomial coefficients gives the unique solution.  Raises NotInSpan on
-    fractional or negative exponents, a singular basis, or a non-integral
-    coefficient.
+    Take the support weight mu whose label (u, lambda) maximises
+    (<lambda, rho^vee>, l(u)), where rho^vee is 1 on every simple root; its
+    coefficient is the coefficient of kappa_mu, so record it, subtract that
+    multiple of kappa_mu and repeat until nothing is left.  This is exact by
+    unitriangularity: kappa_{u lambda} holds e^{v lambda} exactly once for
+    each v <= u in W/W_lambda, and every other weight in it has a dominant
+    conjugate strictly below lambda.  Keys span every integral weight of a
+    finite-type datum; a non-integral weight raises NotInSpan.
     """
-    if not is_gl_like(datum):
-        raise ValueError("key polynomials need a GL-style datum")
-    by_degree: dict[int, dict[tuple[int, ...], int]] = {}
-    for mu, c in chi.terms.items():
-        comp = _as_composition(mu)
-        by_degree.setdefault(sum(comp), {})[comp] = c
+    rho = [sum(col) for col in zip(*datum._root_left_inverse)]
+    rho = vscale(lcm(*(x.denominator for x in rho)), rho)  # integral
+    labels = {}
 
-    out: dict[tuple[int, ...], int] = {}
-    for d, wanted in sorted(by_degree.items()):
-        comps, inverse = _key_basis(datum, d)
-        if inverse is None:
-            raise NotInSpan(f"degree {d} block is not a key combination")
-        sol = _mat_vec(inverse, [wanted.get(c, 0) for c in comps])
-        for c, a in zip(comps, sol):
-            if type(a) is not int:
-                raise NotInSpan(f"coefficient of kappa_{c} is non-integral: {a}")
-            if a:
-                out[c] = a
+    def rank(mu):
+        if mu not in labels:
+            word, lam = _reflect_to_dominant(datum, mu)
+            labels[mu] = (_dot(rho, lam), len(word)), word, lam
+        return labels[mu][0]
+
+    out: dict[Coords, int] = {}
+    while chi:
+        mu = max(chi.terms, key=rank)
+        c = out[mu] = chi.terms[mu]
+        _, word, lam = labels[mu]
+        chi = chi - c * demazure_word_op(FormalCharacter.monomial(datum, lam), word)
     return out
 
 
@@ -346,8 +305,8 @@ class KeyPairRecord:
     v: WeylElement
     w: WeylElement
     swapped: bool
-    expansion: dict[tuple[int, ...], int]
-    from_components: dict[tuple[int, ...], int]
+    expansion: dict[Coords, int]
+    from_components: dict[Coords, int]
     agree: bool
     nonneg: bool
 
@@ -362,20 +321,19 @@ class KeyPositivityReport:
     ok: bool
 
 
-def verify_key_positivity(datum: RootDatum, lam: Coords, mu: Coords,
-                          *, cap: int = 10_000) -> KeyPositivityReport:
+def verify_key_positivity(datum: RootDatum, lam: Coords,
+                          mu: Coords) -> KeyPositivityReport:
     """For every (v, w) where the support test passes in either order, expand
-    ch B_v(lam) * ch B_w(mu) in key polynomials two ways and compare.
+    ch B_v(lam) * ch B_w(mu) in keys two ways and compare.
 
     Route one decomposes the tensor and reads off one key per component
-    (kappa at the composition u(nu)); route two expands the character product
-    in the key basis directly.  The report flags any disagreement or negative
-    coefficient.
+    (kappa at the weight u(nu)); route two peels the character product with
+    `key_expand`.  The report flags any disagreement or negative coefficient.
+    Finite type only.
     """
-    if not is_gl_like(datum):
-        raise ValueError("key positivity needs a GL-style datum")
+    datum.positive_roots  # ValueError off finite type, before any Weyl group walk
     from .demazure import criterion_finite
-    group = weyl_group_elements(datum, cap)
+    group = weyl_group_elements(datum)
     records: list[KeyPairRecord] = []
     skipped = 0
     ok = True
@@ -390,10 +348,8 @@ def verify_key_positivity(datum: RootDatum, lam: Coords, mu: Coords,
             else:
                 skipped += 1
                 continue
-            from_components: dict[tuple[int, ...], int] = {}
-            for comp in report.components:
-                c = _as_composition(comp.u.act_weight(comp.nu))
-                from_components[c] = from_components.get(c, 0) + 1
+            from_components = Counter(comp.u.act_weight(comp.nu)
+                                      for comp in report.components)
             chi_left = char_of_set(demazure_set(straight_path(datum, lam),
                                                 min_coset_rep(v, lam)))
             chi_right = char_of_set(demazure_set(straight_path(datum, mu),

@@ -3,8 +3,8 @@
 Four subcommands: `decompose` splits a Demazure tensor product into its
 components, `check` runs the criterion / extremality / decomposability
 comparison (optionally over every pair of Weyl elements), `graph` emits a
-crystal graph, and `keyprod` verifies key-polynomial positivity of character
-products on GL-style data.
+crystal graph, and `keyprod` verifies that character products expand
+positively in keys (Demazure characters) on finite-type data.
 
 Exit codes: 0 success, 1 configuration problems (bad flags, malformed datum,
 non-reduced words, windows too small), 2 the support criterion fails, 3 a
@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out")
     g.add_argument("--seed", type=int)
 
-    k = sub.add_parser("keyprod", help="key-polynomial positivity of ch·ch on GL data")
+    k = sub.add_parser("keyprod", help="key positivity of ch·ch on finite-type data")
     _add_datum(k)
     k.add_argument("--lambda", dest="lam", required=True)
     k.add_argument("--mu", required=True)

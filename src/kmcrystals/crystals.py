@@ -115,6 +115,10 @@ class TensorPair(Element):
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # rebuilt when loaded, so the hash is that of the loading process
+        return type(self), (self.left, self.right)
+
     @property
     def datum(self) -> RootDatum:  # type: ignore[override]
         return self.left.datum

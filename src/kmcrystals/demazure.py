@@ -173,7 +173,7 @@ class WindowedClosure:
     (Kashiwara's string property, Duke Math. J. 71, 1993): x lies in
     T_i S for an e_i-stable S exactly when e_i^max x lies in S, and x lies in
     T_i {seed} exactly when e_i^max x is the seed.  The seed must therefore
-    be a highest-weight element.  `set_at` enumerates the set to a depth
+    be a highest-weight element.  `ensure` enumerates the set to a depth
     window when the elements themselves are needed; nothing is cached, and
     each tensor routine asks for one window.
     """
@@ -185,14 +185,11 @@ class WindowedClosure:
         self.word = tuple(word)
 
     def ensure(self, depth: int) -> CrystalSet:
-        # the enumeration behind set_at; its t_word_closure is one oracle rebuild
+        # each call's t_word_closure is one oracle rebuild
         top_wt = self.seed.wt()
         els, cut = t_word_closure([self.seed], self.word, top_wt, window=depth)
         return set_from_elements(els, top_wt, window=depth, truncated=cut,
                                  e_stable=True, check_axioms=False)
-
-    def set_at(self, depth: int) -> CrystalSet:
-        return self.ensure(depth)
 
     def contains(self, x: Element) -> bool:
         for i in self.word:
@@ -368,7 +365,7 @@ class _TensorSetup:
         self.left = demazure_set(straight_path(datum, lam), vmin)
         if infinite:
             oracle = WindowedClosure(binf_top(datum), w.rword)
-            self.right, self.right_member = oracle.set_at(depth), oracle.contains
+            self.right, self.right_member = oracle.ensure(depth), oracle.contains
         else:
             self.right = demazure_set(straight_path(datum, mu), w)
             self.right_member = self.right.__contains__

@@ -27,7 +27,7 @@ compare and hash alike, so the rule changes no set, dict or printed output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 
@@ -226,6 +226,11 @@ class RootDatum:
     def __hash__(self) -> int:
         return self._hash
 
+    # A pickle carries the fields alone: the cached hash belongs to the
+    # process that computed it, and the memos are rebuilt on demand.
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     # -- basic linear data ---------------------------------------------------
 
     def simple_root(self, i: int) -> Coords:
@@ -323,12 +328,6 @@ class RootDatum:
         datum per command, so each command's memo is freed with its datum.
         """
         return {op: {i: {} for i in range(1, self.n + 1)} for op in ("e", "f")}
-
-    # Key bases keyed by degree, filled by `characters._key_basis`; they live
-    # as long as the datum.
-    @cached_property
-    def _key_bases(self) -> dict:
-        return {}
 
     # -- Weyl group ----------------------------------------------------------
 

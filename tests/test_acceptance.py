@@ -289,12 +289,12 @@ def test_criterion_8_axioms_and_operator_properties():
     for w in weyl_group_elements(A2):
         words = words_of(w)
         base_fin = demazure_set(straight_path(A2, (1, 1)), word=words[0])
-        base_inf = WindowedClosure(binf_top(A2), words[0]).set_at(4)
+        base_inf = WindowedClosure(binf_top(A2), words[0]).ensure(4)
         for word in words[1:]:
             pairs += 1
             other = demazure_set(straight_path(A2, (1, 1)), word=word)
             assert set(other.elements) == set(base_fin.elements)
-            other_inf = WindowedClosure(binf_top(A2), word).set_at(4)
+            other_inf = WindowedClosure(binf_top(A2), word).ensure(4)
             assert set(other_inf.elements) == set(base_inf.elements)
             for chi in probes:
                 assert (demazure_word_op(chi, word)

@@ -1,11 +1,11 @@
 """Formal characters, the isobaric operators, keys, and positivity."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from kmcrystals import characters
 from kmcrystals.binfinity import binf_top
 from kmcrystals.characters import (
     FormalCharacter,
@@ -17,7 +17,6 @@ from kmcrystals.characters import (
     demazure_character,
     demazure_op,
     demazure_word_op,
-    is_gl_like,
     key_expand,
     key_polynomial,
     verify_demazure_character,
@@ -27,7 +26,9 @@ from kmcrystals.characters import (
 from kmcrystals.crystals import enumerate_from
 from kmcrystals.demazure import demazure_set
 from kmcrystals.paths import straight_path
-from kmcrystals.rootdata import datum_from_json, preset, vec, weyl_group_elements
+from kmcrystals.rootdata import (InvariantBroken, datum_from_json, preset, vec,
+                                 weyl_group_elements)
+from sample_data import AFFINE_A1, B2, C2, G2
 
 A2 = preset("A2")
 A3 = preset("A3")
@@ -146,11 +147,6 @@ def test_product_identity():
     assert rec.chi_operator == rec.chi_components == rec.chi_product
 
 
-def test_gl_detection():
-    assert is_gl_like(GL2) and is_gl_like(GL3)
-    assert not is_gl_like(A2)
-
-
 def test_key_polynomials_small():
     # kappa_(0,1) = e^(1,0) + e^(0,1)
     chi = key_polynomial(GL2, (0, 1))
@@ -188,53 +184,61 @@ def test_key_expand_round_trip():
         assert got == want
 
 
-def test_key_basis_is_built_once_per_degree(monkeypatch):
-    calls = []
-    real = characters.key_polynomial
-    monkeypatch.setattr(characters, "key_polynomial",
-                        lambda datum, comp: calls.append(comp) or real(datum, comp))
-    GL3 = preset("GL3")  # a fresh datum, so no key basis is built yet
-    chi = key_polynomial(GL3, (2, 1, 0)) * key_polynomial(GL3, (1, 0, 1))
-    for _ in range(3):
-        assert key_expand(GL3, chi) == key_expand(GL3, chi)
-    # the 21 compositions of 5 into 3 parts, each expanded once
-    assert len(calls) == len(set(calls)) == 21
+def _compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _compositions(total - head, parts - 1):
+            yield (head,) + rest
 
 
 def test_key_expand_recovers_every_key():
     GL4 = preset("GL4")
     for datum, top in ((GL3, 6), (GL4, 4)):
         for d in range(top + 1):
-            for c in characters._key_basis(datum, d)[0]:
+            for c in _compositions(d, datum.m):
                 assert key_expand(datum, key_polynomial(datum, c)) == {c: 1}
+    # every integral weight is a key label outside type A too
+    for datum in (B2, G2):
+        for mu in itertools.product(range(-3, 4), repeat=2):
+            assert key_expand(datum, key_polynomial(datum, mu)) == {mu: 1}
 
 
-def test_key_basis_inverse_is_integral():
-    # the key matrix is upper unitriangular in composition order, so its
-    # inverse is too, and here every entry is -1, 0 or 1
-    for d in range(1, 9):
-        comps, inverse = characters._key_basis(GL3, d)
-        assert len(inverse) == len(comps)
-        assert all(type(x) is int and x in (-1, 0, 1) for row in inverse for x in row)
-        assert all(inverse[i][j] == (i == j) for i in range(len(comps)) for j in range(i + 1))
+@pytest.mark.parametrize("datum", [A3, B2, G2], ids=["A3", "B2", "G2"])
+def test_key_expand_round_trip_beyond_gl(datum):
+    rng = random.Random(12)
+    box = list(itertools.product(range(-2, 3), repeat=datum.m))
+    for _ in range(10):
+        want = {vec(mu): rng.choice((-2, -1, 1, 2, 3)) for mu in rng.sample(box, 4)}
+        chi = FormalCharacter.zero(datum)
+        for mu, k in want.items():
+            chi = chi + k * key_polynomial(datum, mu)
+        assert key_expand(datum, chi) == want
 
 
-def test_key_expand_rejects_singular_and_fractional_bases(monkeypatch):
-    chi = key_polynomial(GL3, (1, 0, 1))
-    comps = characters._key_basis(GL3, 2)[0]
-    monkeypatch.setattr(characters, "_key_basis", lambda datum, d: (comps, None))
-    with pytest.raises(NotInSpan, match="not a key combination"):
-        key_expand(GL3, chi)
-    half = tuple(tuple(Fraction(int(i == j), 2) for j in range(len(comps)))
-                 for i in range(len(comps)))
-    monkeypatch.setattr(characters, "_key_basis", lambda datum, d: (comps, half))
-    with pytest.raises(NotInSpan, match="non-integral"):
-        key_expand(GL3, chi)
+def test_key_labels_need_finite_type():
+    with pytest.raises(ValueError, match="finite type"):
+        composition_pair(AFFINE_A1, (0, 0, 0))
+    with pytest.raises(ValueError, match="finite type"):
+        verify_key_positivity(AFFINE_A1, (1, 0, 0), (1, 0, 0))
+    # the reflection loop is bounded by the number of positive roots
+    datum = preset("A2")
+    vars(datum)["positive_roots"] = ((1, 0),)
+    assert composition_pair(datum, (-1, 2))[0] == datum.simple(1)
+    with pytest.raises(InvariantBroken, match="positive roots"):
+        composition_pair(datum, (-1, -1))
 
 
 def test_key_expand_rejects_outside_span():
-    with pytest.raises(NotInSpan):
-        key_expand(GL3, _e(GL3, (-1, 1, 0)))
+    # keys span every integral weight, so a Laurent monomial expands exactly,
+    # here in five keys: kappa_(-1,1,0) = e^(1,-1,0) + e^(0,0,0) + e^(-1,1,0)
+    got = key_expand(GL3, _e(GL3, (-1, 1, 0)))
+    assert len(got) == 5 and got[(-1, 1, 0)] == 1
+    back = FormalCharacter.zero(GL3)
+    for mu, a in got.items():
+        back = back + a * key_polynomial(GL3, mu)
+    assert back == _e(GL3, (-1, 1, 0))
     with pytest.raises(NotInSpan):
         key_expand(GL3, FormalCharacter.monomial(
             GL3, (Fraction(1, 2), Fraction(1, 2), Fraction(0))))
@@ -252,3 +256,15 @@ def test_key_positivity_gl3():
              if r.v.is_identity and r.w.is_identity]
     assert len(ident) == 1
     assert ident[0].expansion == {(2, 2, 0): 1}
+
+
+@pytest.mark.parametrize("datum, lam, mu", [
+    (A2, (1, 1), (1, 0)),
+    (B2, (1, 1), (1, 0)),
+    (C2, (1, 1), (0, 1)),
+    (G2, (1, 0), (0, 1)),
+], ids=["A2", "B2", "C2", "G2"])
+def test_key_positivity_beyond_gl(datum, lam, mu):
+    report = verify_key_positivity(datum, vec(lam), vec(mu))
+    assert report.ok and report.pairs_checked > 0
+    assert all(rec.agree and rec.nonneg for rec in report.records)

@@ -278,7 +278,7 @@ def test_keyprod_gl2(capsys):
 
 
 def test_keyprod_frees_its_datum(capsys, monkeypatch):
-    # the key bases and the edge memo live on the command's datum, so nothing
+    # the Demazure sets and the edge memo live on the command's datum, so nothing
     # keeps it alive once the command returns
     made = []
 
@@ -302,10 +302,20 @@ def test_keyprod_table(capsys):
     assert "κ(" in out and "ok = True" in out
 
 
-def test_keyprod_rejects_non_gl(capsys):
-    code, _, err = run(capsys, "keyprod", "--preset", "A2",
+def test_keyprod_rejects_non_gl(capsys, tmp_path):
+    # keys exist in every finite type, so only non-finite data are refused,
+    # before any Weyl group walk
+    code, out, _ = run(capsys, "keyprod", "--preset", "A2",
                        "--lambda", "1,0", "--mu", "1,0")
-    assert code == 1 and "error" in err
+    assert code == 0 and "ok = True" in out
+    affine = tmp_path / "affine.json"
+    affine.write_text(json.dumps({"name": "A1^(1)", "n": 2, "m": 3,
+                                  "cartan": [[2, -2], [-2, 2]],
+                                  "roots": [[2, -2], [-2, 2], [1, 0]],
+                                  "pairing": [[1, 0, 0], [0, 1, 0]]}))
+    code, _, err = run(capsys, "keyprod", "--datum", str(affine),
+                       "--lambda", "1,0,0", "--mu", "1,0,0")
+    assert code == 1 and "finite type" in err
 
 
 def test_out_file_writes_exact_bytes(capsys, tmp_path):

@@ -1,9 +1,14 @@
 """Tensor products, components, strings, extremality, matching, the edge memo."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import kmcrystals
 from kmcrystals.binfinity import BSeq, binf_top
 from kmcrystals.crystals import (
     MismatchWitness,
@@ -23,16 +28,10 @@ from kmcrystals.demazure import demazure_set
 from kmcrystals.paths import PLPath, straight_path
 from kmcrystals.rootdata import (InvariantBroken, preset, vadd, validate_root_datum,
                                  vec, vscale, vsub)
+from sample_data import AFFINE_A1, B2, G2
 
 A1 = preset("A1")
 A2 = preset("A2")
-
-
-def _rank2(name, cartan):
-    # fundamental-weight coordinates: alpha_j is column j of the Cartan matrix
-    return validate_root_datum(name, 2, 2, cartan,
-                               roots=[(cartan[0][j], cartan[1][j]) for j in (0, 1)],
-                               pairing=[(1, 0), (0, 1)])
 
 
 # a realization of A2 with halved roots, so weights carry Fractions
@@ -40,16 +39,13 @@ HALVED_A2 = validate_root_datum(
     "A2", 2, 2, [[2, -1], [-1, 2]], roots=[(1, Fraction(-1, 2)), (Fraction(-1, 2), 1)],
     pairing=[(2, 0), (0, 2)])
 
-# each datum with a dominant weight whose B(lambda) the memo tests walk;
-# affine A1^(1) keeps its two simple roots independent with a third coordinate
+# each datum with a dominant weight whose B(lambda) the memo tests walk
 MEMO_DATA = {
     "A2": (A2, (1, 1)),
     "A2-halved": (HALVED_A2, (Fraction(1, 2), Fraction(1, 2))),
-    "B2": (_rank2("B2", [[2, -2], [-1, 2]]), (1, 1)),
-    "G2": (_rank2("G2", [[2, -1], [-3, 2]]), (1, 1)),
-    "A1^(1)": (validate_root_datum("A1^(1)", 2, 3, [[2, -2], [-2, 2]],
-                                   roots=[(2, -2, 1), (-2, 2, 0)],
-                                   pairing=[(1, 0, 0), (0, 1, 0)]), (1, 1, 0)),
+    "B2": (B2, (1, 1)),
+    "G2": (G2, (1, 1)),
+    "A1^(1)": (AFFINE_A1, (1, 1, 0)),
 }
 
 
@@ -312,3 +308,43 @@ def test_slotted_elements_hash_once():
     left = straight_path(A2, vec((1, 0)))
     assert TensorPair(left, by_int) == TensorPair(left, by_fraction)
     assert hash(TensorPair(left, by_int)) == hash(TensorPair(left, by_fraction))
+
+
+# Run twice, under two hash seeds: "dump" pickles a datum and elements of each
+# model, and "load" checks that what it reads back hashes like a fresh build.
+_PICKLE_SCRIPT = """
+import pickle, sys
+from kmcrystals.binfinity import binf_top
+from kmcrystals.crystals import TensorPair
+from kmcrystals.paths import straight_path
+from kmcrystals.rootdata import preset
+
+def build():
+    datum = preset("A2")
+    x = binf_top(datum).f(1).f(2)
+    return [datum, x, straight_path(datum, (1, 1)).f(1),
+            TensorPair(straight_path(datum, (1, 0)), x)]
+
+if sys.argv[1] == "dump":
+    sys.stdout.buffer.write(pickle.dumps(build()))
+else:
+    loaded = pickle.loads(sys.stdin.buffer.read())
+    assert "_edges" not in vars(loaded[0]), "the edge memo was pickled"
+    for a, b in zip(loaded, build(), strict=True):
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1, type(a).__name__
+"""
+
+
+def test_pickled_elements_rehash_when_loaded():
+    src = str(Path(kmcrystals.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+
+    def run(mode, seed, data=None):
+        env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed)
+        return subprocess.run([sys.executable, "-c", _PICKLE_SCRIPT, mode], env=env,
+                              input=data, capture_output=True, timeout=120, check=False)
+
+    dumped = run("dump", "1")
+    assert dumped.returncode == 0, dumped.stderr.decode()
+    loaded = run("load", "2", dumped.stdout)
+    assert loaded.returncode == 0, loaded.stderr.decode()

@@ -32,6 +32,7 @@ from kmcrystals.rootdata import (
     vec,
     weyl_group_elements,
 )
+from sample_data import AFFINE_A1, B2, G2
 
 A1 = preset("A1")
 A2 = preset("A2")
@@ -178,24 +179,6 @@ def test_windowed_closure_membership():
     assert not oracle.contains(BSeq(A2, (1,), vec((1, 0))))
 
 
-def _rank2(name, cartan):
-    # fundamental-weight coordinates: alpha_j is column j of the Cartan matrix
-    return validate_root_datum(name, 2, 2, cartan,
-                               roots=[(cartan[0][j], cartan[1][j]) for j in (0, 1)],
-                               pairing=[(1, 0), (0, 1)])
-
-
-# untwisted affine A1^(1) on (Lambda_0, Lambda_1, delta)-style coordinates;
-# the third coordinate keeps the two simple roots independent
-AFFINE_A1 = validate_root_datum("A1^(1)", 2, 3, [[2, -2], [-2, 2]],
-                                roots=[(2, -2, 1), (-2, 2, 0)],
-                                pairing=[(1, 0, 0), (0, 1, 0)])
-
-
-B2 = _rank2("B2", [[2, -2], [-1, 2]])
-G2 = _rank2("G2", [[2, -1], [-3, 2]])
-
-
 def test_bruhat_leq_on_a_long_affine_element():
     # the descent recursion takes one step per unit of length; 1,200 steps
     # would overflow the interpreter stack if they were nested calls
@@ -243,7 +226,7 @@ def test_walk_invariants(datum, with_e):
     left = demazure_set(straight_path(datum, lam), v)
     oracle = WindowedClosure(binf_top(datum), w.rword)
     finite_right = demazure_set(straight_path(datum, lam), w)
-    cases = [(oracle.set_at(4), oracle.contains, 4),
+    cases = [(oracle.ensure(4), oracle.contains, 4),
              (finite_right, finite_right.__contains__, None),
              (finite_right, finite_right.__contains__, 2)]
     walked = 0

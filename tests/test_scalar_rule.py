@@ -14,14 +14,8 @@ from kmcrystals import cli
 from kmcrystals.binfinity import binf_top
 from kmcrystals.crystals import TensorPair, enumerate_from
 from kmcrystals.paths import straight_path
-from kmcrystals.rootdata import datum_from_json, preset, validate_root_datum, vec
-
-
-def _rank2(name, cartan):
-    # fundamental-weight coordinates: alpha_j is column j of the Cartan matrix
-    return validate_root_datum(name, 2, 2, cartan,
-                               roots=[(cartan[0][j], cartan[1][j]) for j in (0, 1)],
-                               pairing=[(1, 0), (0, 1)])
+from kmcrystals.rootdata import datum_from_json, preset, vec
+from sample_data import AFFINE_A1, B2, G2
 
 
 # A2 with every simple root halved and every coroot doubled: the pairing
@@ -32,13 +26,11 @@ HALVED_A2 = {"name": "A2-halved", "n": 2, "m": 2, "cartan": [[2, -1], [-1, 2]],
 
 DATA = {
     "A2": (preset("A2"), (1, 1), None),
-    "B2": (_rank2("B2", [[2, -2], [-1, 2]]), (1, 1), None),
-    "G2": (_rank2("G2", [[2, -1], [-3, 2]]), (1, 1), None),
+    "B2": (B2, (1, 1), None),
+    "G2": (G2, (1, 1), None),
     "GL3": (preset("GL3"), (2, 1, 0), None),
     # untwisted affine A1^(1); B(lambda) is infinite, so it is walked to a window
-    "affine-A1": (validate_root_datum("A1^(1)", 2, 3, [[2, -2], [-2, 2]],
-                                      roots=[(2, -2, 1), (-2, 2, 0)],
-                                      pairing=[(1, 0, 0), (0, 1, 0)]), (1, 1, 0), 5),
+    "affine-A1": (AFFINE_A1, (1, 1, 0), 5),
     "A2-halved": (datum_from_json(HALVED_A2), (Fraction(1, 2), Fraction(1, 2)), None),
 }
 
