@@ -12,15 +12,14 @@ from .crystals import (CrystalSet, Element, ExtremalityVerdict, MismatchWitness,
                        TensorPair, enumerate_from, i_string, is_extremal,
                        is_primitive_pair, match_highest_weight,
                        primitive_elements, product_set, set_from_elements,
-                       t_closure, t_word_closure, tensor)
+                       t_closure, t_word_closure, tensor, verify_axioms)
 from .demazure import (ClosureProductRecord, ComponentReport, CriterionFails,
                        DecompositionReport, EquivalenceRecord,
                        EquivalenceViolation, TopNotInSet,
                        VerificationMismatch, WindowTooSmall, WindowedClosure,
                        check_equivalence, closure_product_check,
                        criterion_finite, criterion_infinity, decompose_tensor,
-                       demazure_set, extremal_element, recognize_demazure,
-                       u_from_y)
+                       demazure_set, recognize_demazure, u_from_y)
 from .paths import NonIntegralPath, PLPath, straight_path
 from .rootdata import (InvariantBroken, NotDominantIntegral, NotGCM,
                        NotSymmetrizable, PairingInconsistent, RootDatum,
@@ -48,13 +47,13 @@ __all__ = [
     "criterion_finite", "criterion_infinity", "datum_from_json",
     "decompose_tensor", "demazure_character",
     "demazure_op", "demazure_set", "demazure_word_op", "enumerate_from",
-    "extremal_element", "i_string", "in_parabolic", "is_extremal",
+    "i_string", "in_parabolic", "is_extremal",
     "is_primitive_pair", "key_expand", "key_polynomial",
     "match_highest_weight", "min_coset_rep", "parse_weight", "parse_word",
     "preset", "primitive_elements", "product_set", "recognize_demazure",
     "set_from_elements", "stabilizer_letters", "straight_path", "t_closure",
     "t_word_closure", "tensor", "u_from_y", "validate_root_datum",
-    "verify_demazure_character", "verify_key_positivity",
+    "verify_axioms", "verify_demazure_character", "verify_key_positivity",
     "verify_product_identity", "weight_str", "weyl_group_elements",
     "word_str",
 ]

@@ -54,12 +54,6 @@ def _depth(text: str) -> int:
     return depth
 
 
-def _add_datum(sp) -> None:
-    g = sp.add_mutually_exclusive_group(required=True)
-    g.add_argument("--preset", help='built-in datum, e.g. "A3" or "GL3"')
-    g.add_argument("--datum", metavar="FILE", help="root datum as a JSON file")
-
-
 def _get_datum(args):
     if args.preset:
         return preset(args.preset)
@@ -71,10 +65,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="kmcrystals",
                 description="Demazure crystals, tensor decompositions, and "
                             "character identities over symmetrizable root data.")
+    # the options every subcommand takes
+    common = argparse.ArgumentParser(add_help=False)
+    g = common.add_mutually_exclusive_group(required=True)
+    g.add_argument("--preset", help='built-in datum, e.g. "A3" or "GL3"')
+    g.add_argument("--datum", metavar="FILE", help="root datum as a JSON file")
+    common.add_argument("--out", help="write output to this file instead of stdout")
+    common.add_argument("--seed", type=int, help="recorded in the output metadata")
     sub = p.add_subparsers(dest="command", required=True)
 
-    d = sub.add_parser("decompose", parents=[], help="decompose B_v(λ) ⊗ B_w(μ or ∞)")
-    _add_datum(d)
+    d = sub.add_parser("decompose", parents=[common], help="decompose B_v(λ) ⊗ B_w(μ or ∞)")
     d.add_argument("--lambda", dest="lam", required=True, help='dominant weight, e.g. "ω2" or "1,1,0"')
     d.add_argument("--mu", help="dominant weight for the finite mode")
     d.add_argument("--v", default="", help='reduced word, e.g. "2" or "2,1,3,2" ("e" = identity)')
@@ -82,11 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--mode", choices=("finite", "infinity"), default="finite")
     d.add_argument("--depth", type=_depth, help="enumeration window for the infinity mode")
     d.add_argument("--format", choices=("table", "json"), default="table")
-    d.add_argument("--out", help="write output to this file instead of stdout")
-    d.add_argument("--seed", type=int, help="recorded in the output metadata")
 
-    c = sub.add_parser("check", help="criterion / extremality / decomposability comparison")
-    _add_datum(c)
+    c = sub.add_parser("check", parents=[common],
+                       help="criterion / extremality / decomposability comparison")
     c.add_argument("--lambda", dest="lam", required=True)
     c.add_argument("--mu")
     c.add_argument("--v", default="")
@@ -96,28 +94,34 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--mode", choices=("finite", "infinity"), default="finite")
     c.add_argument("--depth", type=_depth)
     c.add_argument("--format", choices=("table", "json"), default="table")
-    c.add_argument("--out")
-    c.add_argument("--seed", type=int)
 
-    g = sub.add_parser("graph", help="emit the crystal graph of B_w(λ) or B_w(∞)")
-    _add_datum(g)
+    g = sub.add_parser("graph", parents=[common],
+                       help="emit the crystal graph of B_w(λ) or B_w(∞)")
     g.add_argument("--lambda", dest="lam", help="needed in the finite mode")
     g.add_argument("--w", default="")
     g.add_argument("--mode", choices=("finite", "infinity"), default="finite")
     g.add_argument("--depth", type=_depth)
     g.add_argument("--format", choices=("dot", "json"), default="dot")
-    g.add_argument("--out")
-    g.add_argument("--seed", type=int)
 
-    k = sub.add_parser("keyprod", help="key positivity of ch·ch on finite-type data")
-    _add_datum(k)
+    k = sub.add_parser("keyprod", parents=[common],
+                       help="key positivity of ch·ch on finite-type data")
     k.add_argument("--lambda", dest="lam", required=True)
     k.add_argument("--mu", required=True)
     k.add_argument("--format", choices=("table", "json"), default="table")
-    k.add_argument("--out")
-    k.add_argument("--seed", type=int)
 
     return p
+
+
+def _mu(datum, args):
+    """The dominant weight --mu in the finite mode, None in the infinity mode
+    (which needs --depth instead)."""
+    if args.mode == "infinity":
+        if args.depth is None:
+            raise ValueError("--mode infinity requires --depth")
+        return None
+    if args.mu is None:
+        raise ValueError("--mode finite requires --mu")
+    return datum.check_dominant_integral(parse_weight(datum, args.mu))
 
 
 def _meta(args) -> dict:
@@ -161,14 +165,7 @@ def _run_decompose(args) -> int:
     lam = datum.check_dominant_integral(parse_weight(datum, args.lam))
     v = check_reduced(datum, parse_word(args.v))
     w = check_reduced(datum, parse_word(args.w))
-    if args.mode == "infinity":
-        if args.depth is None:
-            raise ValueError("--mode infinity requires --depth")
-        mu = None
-    else:
-        if args.mu is None:
-            raise ValueError("--mode finite requires --mu")
-        mu = datum.check_dominant_integral(parse_weight(datum, args.mu))
+    mu = _mu(datum, args)
     report = decompose_tensor(datum, v, lam, w, mu, depth=args.depth)
 
     if args.format == "json":
@@ -211,14 +208,7 @@ def _check_one(datum, v, w, lam, mu, depth):
 def _run_check(args) -> int:
     datum = _get_datum(args)
     lam = datum.check_dominant_integral(parse_weight(datum, args.lam))
-    if args.mode == "infinity":
-        if args.depth is None:
-            raise ValueError("--mode infinity requires --depth")
-        mu = None
-    else:
-        if args.mu is None:
-            raise ValueError("--mode finite requires --mu")
-        mu = datum.check_dominant_integral(parse_weight(datum, args.mu))
+    mu = _mu(datum, args)
 
     if args.all_vw:
         group = weyl_group_elements(datum)

@@ -12,6 +12,7 @@ e if asked), restricted to the members of a set when a test is given, and cut
 at a depth window.  It builds whole crystals and the components of tensor
 products.  `set_from_elements` and `product_set` package element lists found
 otherwise and, like it, store exactly the f-edges between listed elements.
+There is one axiom check, `verify_axioms`, run on a finished set.
 
 Depth is always the height of the weight drop from the ambient top: each f
 step increases it by exactly one and each e step lowers it by one, so the
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 from functools import wraps
 
 from .rootdata import (Coords, InvariantBroken, RootDatum, rational_str, vadd,
-                       weight_str)
+                       vscale, weight_str)
 
 
 class Element(ABC):
@@ -173,9 +174,7 @@ class CrystalSet:
 
     `window` is None when the set is complete (no element was pruned), else
     the depth D up to which the enumeration is guaranteed exhaustive; in that
-    case `truncated` records whether anything was actually cut.  `e_stable`
-    marks sets known to be closed under all e_i (within the ambient), which
-    sharpens the extremality check.
+    case `truncated` records whether anything was actually cut.
     """
 
     datum: RootDatum
@@ -186,7 +185,6 @@ class CrystalSet:
     edges: dict[tuple[int, int], int]
     window: int | None = None
     truncated: bool = False
-    e_stable: bool = False
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -241,31 +239,32 @@ class CrystalSet:
         return "\n".join(lines)
 
 
-def _axiom_check(x: Element, i: int, y: Element, direction: str) -> None:
-    # C2 and C3 on a freshly produced edge; C1 is checked per element.
-    datum = x.datum
-    alpha = datum.simple_root(i)
-    if direction == "f":
-        back = y.e(i)
-        if back != x:
-            raise InvariantBroken(f"axiom C2 fails: e_{i}(f_{i}(x)) != x for {x.payload()}")
-        want = tuple(a - b for a, b in zip(x.wt(), alpha))
-        if y.wt() != want:
-            raise InvariantBroken(f"axiom C3 fails: wt(f_{i} x) != wt(x) - alpha_{i}")
-        if y.eps(i) != x.eps(i) + 1 or y.phi(i) != x.phi(i) - 1:
-            raise InvariantBroken(f"axiom C3 fails: string statistics along f_{i}")
-    else:
-        back = y.f(i)
-        if back != x:
-            raise InvariantBroken(f"axiom C2 fails: f_{i}(e_{i}(x)) != x for {x.payload()}")
-        want = tuple(a + b for a, b in zip(x.wt(), alpha))
-        if y.wt() != want:
-            raise InvariantBroken(f"axiom C3 fails: wt(e_{i} x) != wt(x) + alpha_{i}")
+def verify_axioms(xset: CrystalSet) -> None:
+    """Check the crystal axioms on `xset`, raising InvariantBroken at the first
+    failure: C1 on each element, and C2-C3 on every e_i and f_i edge leaving
+    it, whether or not the edge ends inside the set."""
+    datum = xset.datum
+    for x in xset.elements:
+        x.check_c1()
+        for i in range(1, datum.n + 1):
+            alpha = datum.simple_root(i)
+            for op, back, step in (("f", "e", -1), ("e", "f", 1)):
+                y = getattr(x, op)(i)
+                if y is None:
+                    continue
+                if getattr(y, back)(i) != x:
+                    raise InvariantBroken(
+                        f"axiom C2 fails: {back}_{i}({op}_{i}(x)) != x for {x.payload()}")
+                if y.wt() != vadd(x.wt(), vscale(step, alpha)):
+                    sign = "+" if step > 0 else "-"
+                    raise InvariantBroken(
+                        f"axiom C3 fails: wt({op}_{i} x) != wt(x) {sign} alpha_{i}")
+                if y.eps(i) != x.eps(i) - step or y.phi(i) != x.phi(i) + step:
+                    raise InvariantBroken(f"axiom C3 fails: string statistics along {op}_{i}")
 
 
 def enumerate_from(seeds, top_wt: Coords, *, window: int | None = None,
-                   with_e: bool = False, member=None,
-                   check_axioms: bool = True) -> CrystalSet:
+                   with_e: bool = False, member=None) -> CrystalSet:
     """Breadth-first walk from `seeds` along every f_i (and e_i if asked).
 
     Depths are measured from `top_wt`: the seeds' come from the weight drop,
@@ -273,8 +272,7 @@ def enumerate_from(seeds, top_wt: Coords, *, window: int | None = None,
     `member(x) -> bool`, when given, admits only members; the seeds are taken
     as members.  An f-step past `window` is not taken, and the result is
     flagged truncated when the element it reaches is a member.  The stored
-    edges are exactly the f-edges inside the result.  Axioms C1-C3 are
-    verified on everything the walk produces unless `check_axioms` is off.
+    edges are exactly the f-edges inside the result.
     """
     seeds = list(seeds)
     datum = seeds[0].datum
@@ -288,8 +286,6 @@ def enumerate_from(seeds, top_wt: Coords, *, window: int | None = None,
         index[x] = len(elements)
         elements.append(x)
         depths.append(d)
-        if check_axioms:
-            x.check_c1()
         return index[x]
 
     for s in seeds:
@@ -301,8 +297,6 @@ def enumerate_from(seeds, top_wt: Coords, *, window: int | None = None,
         for i in range(1, datum.n + 1):
             y = x.f(i)
             if y is not None:
-                if check_axioms:
-                    _axiom_check(x, i, y, "f")
                 idx = index.get(y)
                 if idx is None and (member is None or member(y)):
                     if window is not None and d + 1 > window:
@@ -313,12 +307,9 @@ def enumerate_from(seeds, top_wt: Coords, *, window: int | None = None,
                     edges[(pos, i)] = idx
             if with_e:
                 z = x.e(i)
-                if z is not None:
-                    if check_axioms:
-                        _axiom_check(x, i, z, "e")
-                    # its f_i-edge to x is stored when z itself is walked
-                    if z not in index and (member is None or member(z)):
-                        admit(z, d - 1)
+                # its f_i-edge to x is stored when z itself is walked
+                if z is not None and z not in index and (member is None or member(z)):
+                    admit(z, d - 1)
         pos += 1
     return CrystalSet(datum, top_wt, elements, index, depths, edges,
                       window=window, truncated=truncated)
@@ -337,8 +328,7 @@ def _f_edges(elements: list[Element], index: dict[Element, int],
 
 
 def set_from_elements(elements, top_wt: Coords, *, window: int | None = None,
-                      truncated: bool = False, e_stable: bool = False,
-                      check_axioms: bool = True) -> CrystalSet:
+                      truncated: bool = False, check_axioms: bool = True) -> CrystalSet:
     """Package an explicit element list (first-seen order kept) as a CrystalSet."""
     elements = list(elements)
     datum = elements[0].datum
@@ -351,7 +341,7 @@ def set_from_elements(elements, top_wt: Coords, *, window: int | None = None,
             x.check_c1()
     return CrystalSet(datum, top_wt, elements, index, depths,
                       _f_edges(elements, index, datum.n), window=window,
-                      truncated=truncated, e_stable=e_stable)
+                      truncated=truncated)
 
 
 def t_closure(xs, i: int, top_wt: Coords, *, window: int | None = None):
@@ -422,7 +412,7 @@ def product_set(a: CrystalSet, b: CrystalSet, *, window: int | None = None) -> C
                                    for da in set(a.depths) for db in set(b.depths)))
     return CrystalSet(a.datum, top, elements, index, depths,
                       _f_edges(elements, index, a.datum.n), window=window,
-                      truncated=truncated, e_stable=a.e_stable and b.e_stable)
+                      truncated=truncated)
 
 
 # i_string collects at most this many nodes; is_extremal walks at most this
@@ -491,93 +481,55 @@ class ExtremalityVerdict:
         return self.status == "extremal"
 
 
-def is_extremal(xset: CrystalSet, *, membership=None,
-                tail_all_in=None) -> ExtremalityVerdict:
-    """Check that every i-string of the ambient meets `xset` in nothing, in a
-    single top node, or entirely.
+def is_extremal(xset: CrystalSet, member, *, tail_all_in=None) -> ExtremalityVerdict:
+    """Check that every i-string through `xset` meets the true set behind it
+    in nothing, in its top alone, or entirely.
 
-    `membership(x) -> True | False | None` decides whether an ambient element
-    lies in the true (possibly infinite) set behind `xset`; None means
-    undecidable at this window.  The default derives membership from the
-    enumerated elements and the completeness window.  `tail_all_in(x, i)`,
-    when provided, decides whether the whole forward chain {f_i^k x : k >= 0}
-    stays inside; it is consulted to settle infinite strings.
+    `member(x) -> bool` decides exactly whether an ambient element lies in the
+    true (possibly infinite) set, which must be e-stable.  Then every string
+    meets it in a prefix from the string top, and a string is violated exactly
+    when it leaves the set two or more steps below its top.  `tail_all_in(x,
+    i)`, when given, returns True when the whole forward chain {f_i^k x : k >=
+    0} stays inside; it settles infinite strings.  A string still inside after
+    _STEP_CAP lowering steps counts as unresolved.
 
-    For e-stable sets the intersection with any string is a prefix from the
-    string top, which the walk exploits to stop early.  A truncated set that
-    holds nothing below its top is inconclusive: only the strings through the
-    top would be examined, and a violation can sit on any string below it.
+    Only strings through elements of `xset` are examined.  A truncated set
+    that holds nothing below its top is inconclusive: only the strings through
+    the top would be examined, and a violation can sit on any string below it.
     """
     datum = xset.datum
     if xset.truncated and xset.max_depth() == 0:
         return ExtremalityVerdict(
             "inconclusive",
             reason=f"window {xset.window} holds only the top; no string below it was examined")
-    horizon = xset.window if xset.truncated else None
-
-    def default_member(x: Element):
-        if x in xset.index:
-            return True
-        if horizon is None:
-            return False
-        try:
-            d = datum.weight_drop(xset.top_wt, x.wt())
-        except ValueError:
-            return False
-        return False if d <= horizon else None
-
-    member = membership or default_member
-    seen_strings: set[tuple] = set()
+    seen_strings: set[tuple[Element, int]] = set()
     checked = 0
     unresolved = 0
 
     for x in xset.elements:
         for i in range(1, datum.n + 1):
             top = string_top(x, i)
-            skid = (top.skey(), i)
-            if skid in seen_strings:
+            if (top, i) in seen_strings:
                 continue
-            seen_strings.add(skid)
+            seen_strings.add((top, i))
             checked += 1
-
-            # walk down from the top, tracking certified membership
             cur: Element | None = top
             pos = 0
-            prefix_intact = True     # every node so far certified in
-            prefix_len = 0
-            broke_at: int | None = None
-            resolved = False
             while cur is not None and pos <= _STEP_CAP:
-                m = member(cur)
-                if m is True:
-                    if broke_at is not None:
+                if not member(cur):
+                    if pos == 0:
+                        raise InvariantBroken(
+                            f"e_{i}^max of a member is not a member: the set is not e-stable")
+                    if pos >= 2:
                         return ExtremalityVerdict("violated", (x, i), checked, unresolved)
-                    prefix_len += 1
-                    if prefix_intact and tail_all_in is not None:
-                        stays = tail_all_in(cur, i)
-                        if stays is True:
-                            resolved = True  # whole remaining string inside
-                            break
-                elif m is False:
-                    if broke_at is None:
-                        broke_at = pos
-                        if prefix_intact and prefix_len >= 2:
-                            return ExtremalityVerdict("violated", (x, i), checked, unresolved)
-                        if prefix_intact and prefix_len == 0:
-                            return ExtremalityVerdict("violated", (x, i), checked, unresolved)
-                        if xset.e_stable:
-                            resolved = True  # nothing can reappear lower down
-                            break
-                else:
-                    prefix_intact = False
-                    break  # cannot certify anything past an unknown node
+                    break  # the top alone
+                if tail_all_in is not None and tail_all_in(cur, i):
+                    break  # the whole rest of the string is inside
                 pos += 1
                 cur = cur.f(i)
             else:
-                if cur is None:
-                    resolved = True  # finite string, fully classified
-            if not resolved:
-                unresolved += 1
+                if cur is not None:
+                    unresolved += 1
     if unresolved:
         return ExtremalityVerdict("inconclusive", None, checked, unresolved)
     return ExtremalityVerdict("extremal", None, checked, unresolved)

@@ -40,11 +40,11 @@ from .binfinity import binf_top
 from .crystals import (CrystalSet, Element, MismatchWitness, TensorPair,
                        enumerate_from, is_extremal, match_highest_weight,
                        primitive_elements, product_set, set_from_elements,
-                       string_top, t_closure, t_word_closure)
+                       string_top, t_closure, t_word_closure, verify_axioms)
 from .paths import straight_path
-from .rootdata import (Coords, InvariantBroken, RootDatum, WeylElement, Word,
-                       check_reduced, in_parabolic, min_coset_rep, rational_str,
-                       vadd, weight_str, word_str)
+from .rootdata import (Coords, RootDatum, WeylElement, Word, check_reduced,
+                       in_parabolic, min_coset_rep, rational_str, vadd, vscale,
+                       weight_str, word_str)
 
 
 class CriterionFails(Exception):
@@ -104,33 +104,10 @@ def demazure_set(seed: Element, w: WeylElement | None = None, *,
         return memo[key]
     top_wt = seed.wt()
     els, cut = t_word_closure([seed], word, top_wt, window=window)
-    xset = set_from_elements(els, top_wt, window=window, truncated=cut,
-                             e_stable=True)
+    xset = set_from_elements(els, top_wt, window=window, truncated=cut)
     if window is None:
         memo[key] = xset
     return xset
-
-
-def extremal_element(top: Element, w: WeylElement) -> Element:
-    """The extremal element of weight w(top weight), by stringwise lowering.
-
-    Walking the reduced word of w from the right, each step applies f_i
-    exactly <current weight, alpha_i^vee> times, landing on the far end of
-    the i-string.  The seed must be a highest-weight element (eps = 0
-    everywhere), e.g. a straight path.
-    """
-    datum = top.datum
-    cur = top
-    for i in reversed(w.rword):
-        c = datum.pair(cur.wt(), i)
-        if c.denominator != 1 or c < 0:
-            raise ValueError(f"pairing {c} at letter {i} is not a nonnegative integer")
-        for _ in range(int(c)):
-            nxt = cur.f(i)
-            if nxt is None:
-                raise InvariantBroken("string ended before the pairing was exhausted")
-            cur = nxt
-    return cur
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +133,19 @@ def criterion_infinity(datum: RootDatum, v: WeylElement, lam: Coords, w: WeylEle
     letters = frozenset(i for i in range(1, datum.n + 1) if w.left_descent(i))
     vmin = min_coset_rep(v, lam)
     return in_parabolic(vmin, letters), letters, vmin
+
+
+def _primitive_depth_bound(datum: RootDatum, lam: Coords) -> int | None:
+    """D_lam = weight_drop(lam, w0 lam), the greatest depth of a primitive
+    (an element b of B(infinity) with eps_i(b) <= <lam, alpha_i^vee> for all
+    i): these are in bijection with B(lam), weight for weight.  None off
+    finite type, where B(lam) is infinite and there is no bound."""
+    from .characters import _reflect_to_dominant  # characters imports this module
+    try:
+        _, top = _reflect_to_dominant(datum, vscale(-1, lam))  # -w0 lam
+    except ValueError:  # raised off finite type
+        return None
+    return datum.weight_drop(lam, vscale(-1, top))
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +179,7 @@ class WindowedClosure:
         top_wt = self.seed.wt()
         els, cut = t_word_closure([self.seed], self.word, top_wt, window=depth)
         return set_from_elements(els, top_wt, window=depth, truncated=cut,
-                                 e_stable=True, check_axioms=False)
+                                 check_axioms=False)
 
     def contains(self, x: Element) -> bool:
         for i in self.word:
@@ -229,7 +219,8 @@ def recognize_demazure(xset: CrystalSet, *, nu_for_coset: Coords | None = None):
     top_wt = xset.top_wt
     stats = RecognitionStats()
     memo: dict[frozenset, int | None] = {}
-    choice: dict[frozenset, int] = {}
+    # the letter and the next state of a shortest chain from each state
+    choice: dict[frozenset, tuple[int, frozenset]] = {}
 
     def solve(state: frozenset) -> int | None:
         if state == target:
@@ -239,10 +230,9 @@ def recognize_demazure(xset: CrystalSet, *, nu_for_coset: Coords | None = None):
         stats.states += 1
         memo[state] = None  # growth is strict, so recursion cannot revisit
         best: int | None = None
-        best_i: int | None = None
-        ordered = sorted(state, key=lambda x: x.skey())
         for i in range(1, datum.n + 1):
-            nxt, _ = t_closure(ordered, i, top_wt, window=window)
+            # a T_i closure is a set: it does not depend on the input order
+            nxt, _ = t_closure(state, i, top_wt, window=window)
             nxts = frozenset(nxt)
             if len(nxts) == len(state):
                 continue  # no growth at this window
@@ -251,22 +241,18 @@ def recognize_demazure(xset: CrystalSet, *, nu_for_coset: Coords | None = None):
                 continue
             sub = solve(nxts)
             if sub is not None and (best is None or sub + 1 < best):
-                best, best_i = sub + 1, i
+                best = sub + 1
+                choice[state] = (i, nxts)
         memo[state] = best
-        if best_i is not None:
-            choice[state] = best_i
         return best
 
-    result = solve(frozenset([top]))
-    if result is None:
+    state = frozenset([top])
+    if solve(state) is None:
         return None, stats
     applied: list[int] = []
-    state = frozenset([top])
     while state != target:
-        i = choice[state]
+        i, state = choice[state]
         applied.append(i)
-        nxt, _ = t_closure(sorted(state, key=lambda x: x.skey()), i, top_wt, window=window)
-        state = frozenset(nxt)
     y = datum.weyl(tuple(reversed(applied)))
     if nu_for_coset is not None:
         y = min_coset_rep(y, nu_for_coset)
@@ -321,7 +307,7 @@ def _recognize_component_y(top: Element, member, nu: Coords, *,
 
     def build(window):
         walks[window] = enumerate_from([top], nu, window=window, with_e=induced,
-                                       member=member, check_axioms=False)
+                                       member=member)
         return walks[window]
 
     w_try = base_window
@@ -458,8 +444,12 @@ def decompose_tensor(datum: RootDatum, v: WeylElement, lam: Coords,
     """
     infinite = mu is None
     s = _TensorSetup(datum, v, lam, w, mu, depth, need_criterion=True)
-    right, right_member, xprod = s.right, s.right_member, s.xprod
+    right, xprod = s.right, s.xprod
     b_lam = s.left.top()
+    base_window = max(w.length + 2, 4) if infinite else None
+
+    def id_member(x):  # the product's members whose left factor is b_lam
+        return isinstance(x, TensorPair) and x.left == b_lam and s.member(x)
 
     prims = primitive_elements(right, lam)
     saturated = None
@@ -473,14 +463,6 @@ def decompose_tensor(datum: RootDatum, v: WeylElement, lam: Coords,
         d0 = right.depth_of(b)
         nu = vadd(lam, b.wt())
         top = TensorPair(b_lam, b)
-
-        def id_member(x):
-            return (isinstance(x, TensorPair) and x.left == b_lam
-                    and right_member(x.right))
-
-        base_window = None
-        if infinite:
-            base_window = max(w.length + 2, 4)
         y, stats, rec_window, _walks = _recognize_component_y(
             top, id_member, nu, base_window=base_window,
             nu_for_coset=None if infinite else nu)
@@ -494,8 +476,7 @@ def decompose_tensor(datum: RootDatum, v: WeylElement, lam: Coords,
             u = min_coset_rep(u, nu)
 
         w_cmp = depth - d0 if infinite else None
-        comp = enumerate_from([top], nu, window=w_cmp, member=s.member,
-                              check_axioms=False)
+        comp = enumerate_from([top], nu, window=w_cmp, member=s.member)
         model_seed: Element
         if infinite:
             model_seed = binf_top(datum, nu)
@@ -573,7 +554,9 @@ def check_equivalence(datum: RootDatum, v: WeylElement, lam: Coords,
     its ambient tensor crystal, (c) decomposability: the per-primitive
     components are Demazure sets and they exhaust the product.  Conclusive
     disagreement raises EquivalenceViolation; windowed verdicts that could not
-    be settled are reported as inconclusive, never coerced.
+    be settled are reported as inconclusive, never coerced.  In particular a
+    windowed "yes" stands only when the window holds every primitive: when
+    B_w(infinity) is not cut, or the depth reaches D_lam (finite type only).
     """
     infinite = mu is None
     s = _TensorSetup(datum, v, lam, w, mu, depth)
@@ -593,7 +576,7 @@ def check_equivalence(datum: RootDatum, v: WeylElement, lam: Coords,
                 return None
             return s.right_member(string_top(x.right, i).f(i))
 
-    ext = is_extremal(xprod, membership=member, tail_all_in=tail)
+    ext = is_extremal(xprod, member, tail_all_in=tail)
 
     prims = primitive_elements(right, lam)
     decomposable = "yes"
@@ -621,7 +604,7 @@ def check_equivalence(datum: RootDatum, v: WeylElement, lam: Coords,
             comps.append(walks[w_cmp])
         else:
             comps.append(enumerate_from([top], nu, window=w_cmp, with_e=True,
-                                        member=member, check_axioms=False))
+                                        member=member))
     if decomposable == "yes":
         covered: set[Element] = set()
         for comp in comps:
@@ -631,10 +614,17 @@ def check_equivalence(datum: RootDatum, v: WeylElement, lam: Coords,
             decomposable = "no"
             witness = (f"{len(stray)} elements lie outside every component "
                        f"headed by a primitive pair")
+    if decomposable == "yes" and infinite and right.truncated:
+        # the window holds every primitive only once it reaches D_lam
+        bound = _primitive_depth_bound(datum, lam)
+        if bound is None or depth < bound:
+            decomposable = "inconclusive"
+            witness = f"window {depth} may miss a primitive: " + (
+                "their depth is unbounded off finite type" if bound is None
+                else f"they lie as deep as D_λ = {bound}")
 
     extremal = ext.status
-    if (xprod.truncated and extremal == "extremal" and not holds
-            and decomposable == "no"):
+    if xprod.truncated and extremal == "extremal" and not holds:
         # In a truncated window "extremal" only means that no string through
         # the window is violated; a violated string may meet the set below it
         # alone.  A violation seen in the window stays conclusive.
@@ -680,8 +670,7 @@ def closure_product_check(datum: RootDatum, v: WeylElement, lam: Coords,
     """
     s = _TensorSetup(datum, v, lam, w, mu, depth)
     if mu is None:  # the oracle's window is built without axiom checks
-        for b in s.right:
-            b.check_c1()
+        verify_axioms(s.right)
     seeds = [TensorPair(s.left.top(), b) for b in s.right]
     closure, _ = t_word_closure(seeds, v.rword, s.xprod.top_wt,
                                 window=depth if mu is None else None)

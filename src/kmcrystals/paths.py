@@ -9,10 +9,11 @@ closure of the straight path t -> t*lambda under the lowering operators.
 For index i write h for the height function t -> <pi(t), alpha_i^vee> and m
 for its minimum, an integer on every path this package generates.  f_i
 reflects the portion of the path between the last time h attains m and the
-first later time it attains m+1, then shifts the rest down by alpha_i; e_i is
-the mirror image.  Both come straight from the geometric definition, with all
-interpolation done in exact arithmetic (vertex coordinates follow the scalar
-rule of `rootdata`: ints where integral, Fractions elsewhere).
+first later time it attains m+1, then shifts the rest down by alpha_i, with
+all interpolation done in exact arithmetic (vertex coordinates follow the
+scalar rule of `rootdata`: ints where integral, Fractions elsewhere).  e_i is
+its dual, e_i pi = (f_i pi*)* for the path pi*(t) = pi(1-t) - pi(1) run
+backwards from 0 (Littelmann, Ann. Math. 142, 1995).
 """
 
 from __future__ import annotations
@@ -124,28 +125,14 @@ class PLPath(Element):
                + tuple(vsub(v, alpha) for v in tail))
         return PLPath(self.datum, new)
 
+    def _dual(self) -> "PLPath":
+        end = self.vertices[-1]
+        return PLPath(self.datum, tuple(vsub(v, end) for v in reversed(self.vertices)))
+
     @memoised_edge
     def e(self, i: int) -> "PLPath | None":
-        h, m = self._min_height(i)
-        if m == 0:
-            return None
-        jmin = min(j for j, x in enumerate(h) if x == m)
-        jc = next(j for j in range(jmin - 1, -1, -1) if h[j] >= m + 1)
-        alpha = self.datum.simple_root(i)
-        if h[jc] == m + 1:
-            cross = self.vertices[jc]
-            head = self.vertices[: jc + 1]
-            mids = self.vertices[jc + 1: jmin + 1]
-        else:
-            t = Fraction(h[jc] - (m + 1)) / (h[jc] - h[jc + 1])
-            cross = vadd(self.vertices[jc],
-                         vscale(t, vsub(self.vertices[jc + 1], self.vertices[jc])))
-            head = self.vertices[: jc + 1] + (cross,)
-            mids = self.vertices[jc + 1: jmin + 1]
-        new = (head
-               + tuple(self._reflect_from(cross, v, i) for v in mids)
-               + tuple(vadd(v, alpha) for v in self.vertices[jmin + 1:]))
-        return PLPath(self.datum, new)
+        up = self._dual().f(i)
+        return None if up is None else up._dual()
 
     def payload(self) -> object:
         s = len(self.vertices) - 1

@@ -357,9 +357,6 @@ class RootDatum:
             mat, inv = _mat_mul_int(mat, g), _mat_mul_int(g, inv)
         return WeylElement(self, mat, inv, _strip_word(self, mat))
 
-    def act_root(self, w: "WeylElement", coeffs: RootCoords) -> RootCoords:
-        return _mat_vec(w.mat, coeffs)
-
     @cached_property
     def positive_roots(self) -> tuple[RootCoords, ...]:
         """All positive roots, in root coordinates.  Finite type only."""

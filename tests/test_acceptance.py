@@ -16,7 +16,7 @@ from kmcrystals.binfinity import binf_top
 from kmcrystals.characters import (FormalCharacter, demazure_op,
                                    demazure_word_op, verify_demazure_character,
                                    verify_key_positivity)
-from kmcrystals.crystals import enumerate_from, product_set
+from kmcrystals.crystals import enumerate_from, product_set, verify_axioms
 from kmcrystals.demazure import (CriterionFails, WindowedClosure,
                                  check_equivalence, decompose_tensor,
                                  demazure_set)
@@ -252,19 +252,17 @@ def test_criterion_8_axioms_and_operator_properties():
     cols = [tuple(Fraction(cartan[k][j]) for k in range(2)) for j in range(2)]
     rows = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
     G2 = validate_root_datum("G2", 2, 2, cartan, cols, rows)
-    enumerated = 0
-    for datum, lam in ((A2, (1, 1)), (A3, (0, 1, 0)), (G2, (1, 0))):
-        xset = enumerate_from([straight_path(datum, lam)], lam,
-                              with_e=True, check_axioms=True)
-        enumerated += len(xset.elements)
     top = binf_top(A2)
-    enumerated += len(enumerate_from([top], top.wt(), window=4, with_e=True,
-                                     check_axioms=True).elements)
     left = demazure_set(straight_path(A2, (1, 0)), _elt(A2, (1, 2)))
     right = demazure_set(straight_path(A2, (0, 1)), _elt(A2, (2, 1)))
-    prod = product_set(left, right)
-    enumerated += len(enumerate_from(list(prod.elements), (1, 1),
-                                     with_e=True, check_axioms=True).elements)
+    walks = [enumerate_from([straight_path(datum, lam)], lam, with_e=True)
+             for datum, lam in ((A2, (1, 1)), (A3, (0, 1, 0)), (G2, (1, 0)))]
+    walks.append(enumerate_from([top], top.wt(), window=4, with_e=True))
+    walks.append(enumerate_from(list(product_set(left, right).elements), (1, 1),
+                                with_e=True))
+    for xset in walks:
+        verify_axioms(xset)
+    enumerated = sum(len(xset) for xset in walks)
 
     # idempotence and braid relations on random characters
     for chi in _random_characters(A2, 200, seed=20260819):

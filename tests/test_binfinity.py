@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from kmcrystals.binfinity import BSeq, binf_top
-from kmcrystals.crystals import Element, enumerate_from, t_word_closure, tensor
+from kmcrystals.crystals import (Element, enumerate_from, t_word_closure, tensor,
+                                verify_axioms)
 from kmcrystals.demazure import demazure_set
 from kmcrystals.paths import straight_path
 from kmcrystals.rootdata import (
@@ -138,7 +139,7 @@ def test_derived_sequences_equal_validated_ones():
 def test_integer_phi_matches_weight_pairing(datum):
     nu = vec((1,) * datum.m)
     for top in (binf_top(datum), binf_top(datum, nu)):
-        xset = enumerate_from([top], top.wt(), window=5, check_axioms=False)
+        xset = enumerate_from([top], top.wt(), window=5)
         for x in xset:
             for i in range(1, datum.n + 1):
                 assert x.phi(i) == x.eps(i) + datum.pair(x.wt(), i)
@@ -163,8 +164,8 @@ def _partition_count(roots, target):
 
 def test_graded_dimensions_match_partition_counts():
     top = binf_top(A2)
-    xset = enumerate_from([top], top.wt(), window=5, with_e=True,
-                          check_axioms=True)
+    xset = enumerate_from([top], top.wt(), window=5, with_e=True)
+    verify_axioms(xset)
     sizes = xset.graded_sizes()
     assert sizes == {0: 1, 1: 2, 2: 4, 3: 6, 4: 9, 5: 12}
     roots = A2.positive_roots
@@ -225,8 +226,8 @@ def test_one_step_factorization():
     # eps/phi compared in the form max(eps(x), eps(y) - <wt x>), which stays
     # exact when the right factor has no string at all on a color
     top = binf_top(A2)
-    xset = enumerate_from([top], top.wt(), window=5, with_e=True,
-                          check_axioms=True)
+    xset = enumerate_from([top], top.wt(), window=5, with_e=True)
+    verify_axioms(xset)
     for b in xset:
         t = split(b)
         left, right = t.left, t.right

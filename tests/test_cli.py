@@ -131,26 +131,59 @@ def test_check_infinity_depth_zero_is_inconclusive(capsys):
 def test_check_infinity_shallow_windows_agree(capsys):
     # at depth 1, two products hold no violated string within the window
     # though their criterion and decomposability both fail; extremality is
-    # left open there instead of dissenting
+    # left open there instead of dissenting.  A "yes" is left open too where
+    # B_w(infinity) is cut: its primitives for ω1 lie as deep as D_λ = 2
     argv = ("check", "--preset", "A2", "--lambda", "ω1", "--all-vw",
             "--mode", "infinity", "--format", "json", "--depth")
     code, out, _ = run(capsys, *argv, "1")
     assert code == 0
     payload = json.loads(out)
     assert payload["summary"] == {"agree": 36, "criterion_holds": 20,
-                                  "inconclusive": 2, "pairs": 36}
+                                  "inconclusive": 20, "pairs": 36}
     opened = [r for r in payload["records"] if r["extremal"] == "inconclusive"]
     assert [(r["v_word"], r["w_word"]) for r in opened] == [([2, 1], [1, 2]),
                                                           ([1, 2, 1], [1, 2])]
     for r in opened:
         assert not r["criterion"] and r["decomposable"] == "no"
         assert "window 1 is truncated" in r["witness"]
+    for r in payload["records"]:
+        if r["criterion"] and r["w_word"]:
+            assert r["decomposable"] == "inconclusive"
+            assert r["witness"] == "window 1 may miss a primitive: they lie as deep as D_λ = 2"
+        elif r["criterion"]:  # B_e(infinity) is the top alone, so nothing is cut
+            assert r["decomposable"] == "yes"
     # deeper windows settle every pair; these bytes predate the fix
     for depth in ("2", "3", "4", "5"):
         code, out, _ = run(capsys, *argv, depth)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "0899ce187cf6533f7595052a32dfa0ab11bee057d70595042240a2d2cfe1ab86"), depth
+
+
+def test_check_infinity_yes_needs_every_primitive(capsys, tmp_path):
+    # For G2 and λ = ω1, the component that is not Demazure is headed by a
+    # primitive at depth 5.  A window above it holds Demazure components only,
+    # which is no "yes" below D_λ = 10, the greatest depth of a primitive.
+    g2 = tmp_path / "g2.json"
+    g2.write_text(json.dumps({"name": "G2", "n": 2, "m": 2,
+                              "cartan": [[2, -1], [-3, 2]],
+                              "roots": [[2, -1], [-3, 2]],
+                              "pairing": [[1, 0], [0, 1]]}))
+    argv = ("check", "--datum", str(g2), "--lambda", "1,0", "--v", "1",
+            "--w", "2,1,2,1,2", "--mode", "infinity", "--format", "json", "--depth")
+    code, out, err = run(capsys, *argv, "4")
+    assert code == 0, err
+    [row] = json.loads(out)["records"]
+    assert (row["criterion"], row["extremal"], row["decomposable"]) == (
+        False, "inconclusive", "inconclusive")
+    assert row["witness"].startswith(
+        "window 4 may miss a primitive: they lie as deep as D_λ = 10")
+    code, out, err = run(capsys, *argv, "10")
+    assert code == 0, err
+    [row] = json.loads(out)["records"]
+    assert (row["criterion"], row["extremal"], row["decomposable"]) == (
+        False, "violated", "no")
+    assert row["witness"] == "component of (0,0) is not a Demazure set"
 
 
 def test_finite_disagreement_still_exits_three(capsys, monkeypatch):

@@ -23,6 +23,7 @@ from kmcrystals.crystals import (
     set_from_elements,
     t_word_closure,
     tensor,
+    verify_axioms,
 )
 from kmcrystals.demazure import demazure_set
 from kmcrystals.paths import PLPath, straight_path
@@ -155,7 +156,7 @@ def test_primitivity_gate():
 def test_extremality_violated_by_partial_string():
     om = vec((1,))
     xset = product_set(_blam(A1, om, (1,)), _blam(A1, om, ()))
-    verdict = is_extremal(xset)
+    verdict = is_extremal(xset, xset.__contains__)
     assert verdict.status == "violated"
     x, i = verdict.witness
     assert i == 1
@@ -166,23 +167,33 @@ def test_extremality_of_a_top_only_window():
     full = _blam(A1, om, (1,))
     xset = product_set(full, full, window=0)
     assert len(xset) == 1 and xset.truncated
-    verdict = is_extremal(xset)
+    verdict = is_extremal(xset, xset.__contains__)
     assert verdict.status == "inconclusive" and "window 0" in verdict.reason
     # a complete one-element set is still settled
     top = product_set(_blam(A1, om, ()), _blam(A1, om, ()))
     assert len(top) == 1 and not top.truncated
-    assert is_extremal(top).status == "extremal"
+    assert is_extremal(top, top.__contains__).status == "extremal"
 
 
 def test_extremality_of_full_product():
     om = vec((1,))
     full = _blam(A1, om, (1,))
-    assert is_extremal(product_set(full, full)).status == "extremal"
+    xprod = product_set(full, full)
+    assert is_extremal(xprod, xprod.__contains__).status == "extremal"
     # a union of whole strings is extremal even when it is not a product
     b = straight_path(A1, om)
     xset = set_from_elements([TensorPair(b, b.f(1))], vec((2,)),
                              check_axioms=False)
-    assert is_extremal(xset).status == "extremal"
+    assert is_extremal(xset, xset.__contains__).status == "extremal"
+
+
+def test_extremality_needs_an_e_stable_set():
+    # {f b (x) b} misses the top b (x) b of its 1-string: not e-stable
+    om = vec((1,))
+    b = straight_path(A1, om)
+    xset = set_from_elements([TensorPair(b.f(1), b)], vec((2,)))
+    with pytest.raises(InvariantBroken, match="not e-stable"):
+        is_extremal(xset, xset.__contains__)
 
 
 def test_match_highest_weight_accepts():
@@ -204,10 +215,11 @@ def test_match_highest_weight_rejects():
     assert not match_highest_weight(xset, smaller)
 
 
-def test_enumerate_checks_axioms():
+def test_enumerated_crystal_satisfies_axioms():
     lam = vec((1, 1))
     top = straight_path(A2, lam)
-    xset = enumerate_from([top], lam, with_e=True, check_axioms=True)
+    xset = enumerate_from([top], lam, with_e=True)
+    verify_axioms(xset)
     assert len(xset) == 8
     assert xset.top() == top
     assert xset.max_depth() == 4
@@ -218,14 +230,30 @@ def test_enumerate_checks_axioms():
 def test_broken_axioms_raise_invariant_broken(monkeypatch):
     lam = vec((1, 1))
     top = straight_path(A2, lam)
+    xset = enumerate_from([top], lam)
     monkeypatch.setattr(PLPath, "e", lambda self, i: None)  # breaks C2
     with pytest.raises(InvariantBroken, match="axiom C2 fails"):
-        enumerate_from([top], lam, check_axioms=True)
+        verify_axioms(xset)
     monkeypatch.undo()
     real = PLPath.eps
     monkeypatch.setattr(PLPath, "eps", lambda self, i: real(self, i) + 1)  # breaks C1
     with pytest.raises(InvariantBroken, match="axiom C1 fails"):
-        top.check_c1()
+        verify_axioms(xset)
+
+
+def test_verify_axioms_follows_e_edges(monkeypatch):
+    # e_1 of the top lowers instead of returning None: only an e-edge shows
+    # it, and the walk, along f alone, never takes one
+    lam = vec((1, 1))
+    top = straight_path(A2, lam)
+    xset = enumerate_from([top], lam)
+    real = PLPath.e
+    monkeypatch.setattr(PLPath, "e",
+                        lambda self, i: self.f(i) if self == top else real(self, i))
+    with pytest.raises(InvariantBroken, match=r"axiom C2 fails: f_1\(e_1\(x\)\) != x"):
+        verify_axioms(xset)
+    monkeypatch.undo()
+    verify_axioms(xset)
 
 
 def test_crystal_set_serialization():
@@ -260,10 +288,8 @@ def test_memoised_operators_equal_raw_ones(name):
     # B(lambda) (cut for the affine datum), B(infinity) to depth 4, and one
     # component of B(lambda) (x) B(infinity)
     window = 4 if name == "A1^(1)" else None
-    paths = enumerate_from([straight_path(datum, lam)], lam, window=window,
-                           check_axioms=False)
-    binf = enumerate_from([binf_top(datum)], vec((0,) * datum.m), window=4,
-                          check_axioms=False)
+    paths = enumerate_from([straight_path(datum, lam)], lam, window=window)
+    binf = enumerate_from([binf_top(datum)], vec((0,) * datum.m), window=4)
     component = enumerate_from([TensorPair(straight_path(datum, lam), binf_top(datum))],
                                lam, window=3, member=lambda x: True)
     assert len(paths) > 1 and len(binf) > 1 and len(component) > 1

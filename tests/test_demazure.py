@@ -18,7 +18,6 @@ from kmcrystals.demazure import (
     criterion_infinity,
     decompose_tensor,
     demazure_set,
-    extremal_element,
     recognize_demazure,
     u_from_y,
 )
@@ -86,10 +85,10 @@ def test_complete_demazure_sets_are_built_once(monkeypatch):
     assert demazure_set(seed, word=w.rword) is first
     assert builds == [None]
     els, cut = t_word_closure([seed], w.rword, seed.wt())
-    fresh = set_from_elements(els, seed.wt(), truncated=cut, e_stable=True)
+    fresh = set_from_elements(els, seed.wt(), truncated=cut)
     assert (first.elements, first.depths, first.edges) == (fresh.elements, fresh.depths,
                                                           fresh.edges)
-    assert (first.window, first.truncated, first.e_stable) == (None, False, True)
+    assert (first.window, first.truncated) == (None, False)
     # windowed sets, finite or B(infinity), are never shared
     cut_set = demazure_set(seed, w, window=1)
     assert cut_set is not demazure_set(seed, w, window=1) and cut_set is not first
@@ -133,18 +132,6 @@ def test_dichotomy_infinity():
             got = set(t_closure(list(xset), i, top.wt(), window=4)[0])
             target = w if w.left_descent(i) else A2.simple(i) * w
             assert got == sets[target].element_set(), (w, i)
-
-
-def test_extremal_element():
-    lam = vec((1, 1))
-    seed = straight_path(A2, lam)
-    full = demazure_set(seed, A2.weyl((1, 2, 1)))
-    for w in weyl_group_elements(A2):
-        x = extremal_element(seed, w)
-        assert x.wt() == w.act_weight(lam)
-        assert x in demazure_set(seed, w).index
-        # extremal weights appear with multiplicity one
-        assert sum(1 for y in full if y.wt() == x.wt()) == 1
 
 
 def test_criterion_finite():
@@ -242,8 +229,7 @@ def test_walk_invariants(datum, with_e):
                 if seed is None:
                     seed = xset.elements[-1]
                 xset = enumerate_from([seed], top.wt(), window=window,
-                                      with_e=with_e, member=member,
-                                      check_axioms=False)
+                                      with_e=with_e, member=member)
                 _walk_invariants(xset, member, window, with_e)
                 walked += 1
     assert walked >= 6
@@ -266,7 +252,7 @@ def test_peeling_matches_enumeration(datum, words):
     # T-closure, on all of B(infinity) to depth 5.  Words None means every
     # element of the finite Weyl group.
     top = binf_top(datum)
-    ambient = enumerate_from([top], top.wt(), window=5, check_axioms=False)
+    ambient = enumerate_from([top], top.wt(), window=5)
     if words is None:
         elements = weyl_group_elements(datum)
     else:

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from kmcrystals.crystals import enumerate_from, i_string
+from kmcrystals.crystals import enumerate_from, i_string, verify_axioms
 from kmcrystals.paths import NonIntegralPath, PLPath, straight_path
 from kmcrystals.rootdata import preset, vec
+from sample_data import B2, C2, G2
 
 A1 = preset("A1")
 A2 = preset("A2")
@@ -15,7 +16,9 @@ A3 = preset("A3")
 
 def _full(datum, lam, w0_word):
     top = straight_path(datum, lam)
-    return enumerate_from([top], lam, with_e=True, check_axioms=True)
+    xset = enumerate_from([top], lam, with_e=True)
+    verify_axioms(xset)
+    return xset
 
 
 def test_straight_path():
@@ -72,6 +75,15 @@ def test_a3_omega2_crystal():
     xset = _full(A3, vec((0, 1, 0)), (1, 2, 3, 1, 2, 1))
     assert len(xset) == 6
     assert xset.graded_sizes() == {0: 1, 1: 1, 2: 2, 3: 1, 4: 1}
+
+
+@pytest.mark.parametrize("datum, size", [(B2, 16), (C2, 16), (G2, 64)],
+                         ids=["B2", "C2", "G2"])
+def test_dual_e_inverts_f_on_unequal_root_lengths(datum, size):
+    # e is computed as the dual of f; on all of B(rho) every e_i edge and
+    # every f_i edge must undo the other, which pins e down given f
+    xset = _full(datum, vec((1, 1)), None)
+    assert len(xset) == size
 
 
 def test_string_statistics_are_walk_lengths():
