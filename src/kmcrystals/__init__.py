@@ -15,8 +15,8 @@ from .crystals import (CrystalSet, Element, ExtremalityVerdict, MismatchWitness,
                        t_closure, t_word_closure, tensor, verify_axioms)
 from .demazure import (ClosureProductRecord, ComponentReport, CriterionFails,
                        DecompositionReport, EquivalenceRecord,
-                       EquivalenceViolation, TopNotInSet,
-                       VerificationMismatch, WindowTooSmall, WindowedClosure,
+                       EquivalenceViolation, VerificationMismatch,
+                       WindowTooSmall, WindowedClosure,
                        check_equivalence, closure_product_check,
                        criterion_finite, criterion_infinity, decompose_tensor,
                        demazure_set, recognize_demazure, u_from_y)
@@ -39,7 +39,7 @@ __all__ = [
     "NonIntegralPairing",
     "NonIntegralPath", "NotDominantIntegral", "NotGCM", "NotInSpan",
     "NotSymmetrizable", "PLPath", "PairingInconsistent", "RootDatum",
-    "TensorPair", "TopNotInSet", "TruncatedSet",
+    "TensorPair", "TruncatedSet",
     "VerificationMismatch", "WeylElement", "WindowTooSmall",
     "WindowedClosure", "WordNotReduced", "binf_top", "bruhat_leq",
     "char_of_set", "check_equivalence", "check_reduced",

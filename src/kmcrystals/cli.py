@@ -28,8 +28,8 @@ from .paths import straight_path
 from .rootdata import (InvariantBroken, NotDominantIntegral, NotGCM,
                        NotSymmetrizable, PairingInconsistent, WordNotReduced,
                        check_reduced, datum_from_json, parse_weight,
-                       parse_word, preset, rational_str, vsub, weight_str,
-                       weyl_group_elements, word_str)
+                       parse_word, preset, rational_str, vadd, vsub,
+                       weight_str, weyl_group_elements, word_str)
 
 _CONFIG_ERRORS = (NotGCM, NotSymmetrizable, PairingInconsistent,
                   NotDominantIntegral, WordNotReduced, WindowTooSmall,
@@ -142,9 +142,9 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _nu_decomposed(datum, lam, nu) -> str:
-    """Render nu as λ plus or minus simple roots, e.g. "λ-α1-2α2" or "λ+α3"."""
-    coeffs = datum.root_coords(vsub(lam, nu))
+def _nu_decomposed(datum, base, name, nu) -> str:
+    """Render nu as `name`, the weight `base`, plus or minus simple roots: "λ+μ-α1"."""
+    coeffs = datum.root_coords(vsub(base, nu))
     if coeffs is None:
         return weight_str(nu)
     parts = []
@@ -153,7 +153,7 @@ def _nu_decomposed(datum, lam, nu) -> str:
             continue
         mag = "" if abs(c) == 1 else rational_str(abs(c))
         parts.append(f"{'-' if c > 0 else '+'}{mag}α{i}")
-    return "λ" + "".join(parts)
+    return name + "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -185,12 +185,14 @@ def _run_decompose(args) -> int:
         lines.append(f"  depth = {args.depth}")
     lines.append(f"criterion holds; letters = {{{','.join(map(str, sorted(report.letters)))}}}")
     lines.append(f"components ({len(report.components)}):")
-    header = f"  {'#':>2}  {'d0':>3}  {'ν':<22} {'ν from λ':<26} {'u':<18} {'size':>5}"
+    # measure ν from the product's top weight: λ+μ, or λ as b_∞ has weight 0
+    base, name = (lam, "λ") if mu is None else (vadd(lam, mu), "λ+μ")
+    header = f"  {'#':>2}  {'d0':>3}  {'ν':<22} {'ν from ' + name:<26} {'u':<18} {'size':>5}"
     lines.append(header)
     for k, comp in enumerate(report.components, start=1):
         lines.append(f"  {k:>2}  {comp.primitive_depth:>3}  "
                      f"{weight_str(comp.nu):<22} "
-                     f"{_nu_decomposed(datum, lam, comp.nu):<26} "
+                     f"{_nu_decomposed(datum, base, name, comp.nu):<26} "
                      f"{word_str(comp.u.rword):<18} {comp.size:>5}")
     lines.append(f"total elements = {report.total_size}; partition ok")
     if report.primitives_saturated is not None:

@@ -22,14 +22,14 @@ restricted to that membership.
 
 All set comparisons in the infinite mode happen inside matched depth windows;
 enumeration by depth is exact (truncating the true set and truncating the
-search commute).  Membership in B_w(infinity) needs no window at all: by
-Kashiwara's string property (Duke Math. J. 71, 1993) a Demazure crystal is
-e-stable and meets each i-string in nothing, its top alone, or the whole
-string, so x lies in B_w exactly when peeling a reduced word (i_1, ..., i_k)
-of w from the left, applying e_{i_1}^max, then e_{i_2}^max, ..., then
-e_{i_k}^max, returns the highest element (`WindowedClosure.contains`).  The
-only window-sensitive step is therefore recognizing y, which is re-verified
-one layer deeper and widened on instability.
+search commute).  Neither membership nor recognition needs a window: string
+peeling decides membership in B_w(infinity) (`WindowedClosure.contains`), and
+probes at extremal elements name u exactly (`recognize_demazure`).  Probes
+see extremal elements only, so `check_equivalence` certifies each component:
+its walk must equal T_u {top} down to the deeper of the product's window and
+D_L + l(w) + 1 below its top, D_L the depth of B_{v_min}(lam).  That is
+exact for w = e, where the product is D_L deep; the l(w) further layers are
+measured, not proved (README).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .binfinity import binf_top
 from .crystals import (CrystalSet, Element, MismatchWitness, TensorPair,
                        enumerate_from, is_extremal, match_highest_weight,
                        primitive_elements, product_set, set_from_elements,
-                       string_top, t_closure, t_word_closure, verify_axioms)
+                       string_top, t_word_closure, verify_axioms)
 from .paths import straight_path
 from .rootdata import (Coords, RootDatum, WeylElement, Word, check_reduced,
                        in_parabolic, min_coset_rep, rational_str, vadd, vscale,
@@ -68,10 +68,6 @@ class EquivalenceViolation(Exception):
 
 class VerificationMismatch(Exception):
     """An internal cross-check (matching, partition, recognition) failed."""
-
-
-class TopNotInSet(ValueError):
-    """Recognition was asked about a set missing its highest-weight element."""
 
 
 # ---------------------------------------------------------------------------
@@ -193,80 +189,76 @@ class WindowedClosure:
 
 @dataclass
 class RecognitionStats:
-    states: int = 0
-    dead_ends: int = 0
+    states: int = 0     # probes tested
+    dead_ends: int = 0  # up-steps from a passing coset other than u to one that is not
 
 
-def recognize_demazure(xset: CrystalSet, *, nu_for_coset: Coords | None = None):
-    """Identify `xset` as B_y inside its ambient highest-weight component.
+def _step(cartan, p: tuple, j: int) -> tuple:
+    """The pairings of s_j x Lambda from those of x Lambda: p_i - p_j a_ij."""
+    return tuple(pi - p[j - 1] * row[j - 1] for pi, row in zip(p, cartan))
 
-    The ambient is implicit: starting from the top of `xset`, candidate sets
-    grow by free T_i closures (depth-capped at the set's window), and a
-    depth-first search over strictly growing closure chains looks for the
-    target.  The shortest successful chain is taken, with smallest-index
-    tie-breaking; when several chains of minimal length exist they produce
-    the same set, and in the finite case the returned element is canonicalized
-    modulo the stabilizer of `nu_for_coset`.  Returns (y, stats) with y None
-    when no chain reaches the target (the set is not Demazure at this window).
+
+def _subword_closure(cartan, start: tuple, word: Word) -> dict:
+    """The cosets x W_Lambda with x below the element of the reduced `word`:
+    the pairings of x Lambda (`start` those of Lambda) map to a reduced word
+    of the minimal x, listed after the coset that its first letter steps up
+    from (p_j > 0).  Down-steps stay inside, as the cosets form an interval.
     """
-    try:
-        top = xset.top()
-    except ValueError as exc:
-        raise TopNotInSet(str(exc)) from None
-    datum = xset.datum
-    target = xset.element_set()
-    window = xset.window
-    top_wt = xset.top_wt
+    reached = {start: ()}
+    for j in reversed(word):  # the rightmost letter acts first
+        for p, path in list(reached.items()):
+            if p[j - 1] > 0:
+                reached.setdefault(_step(cartan, p, j), (j,) + path)
+    return reached
+
+
+def recognize_demazure(top: Element, member, start, bound: WeylElement):
+    """Name the members of the component headed by `top` as a Demazure crystal
+    B_u, by one membership probe at the extremal element of each coset
+    u' W_Lambda below `bound`.  `start` holds the pairings of Lambda: rho in a
+    copy of B(infinity), the highest weight nu in a copy of B(nu).
+
+    The probe of e is `top`, and that of s_j u' > u' is f_j^{p_j} of the probe
+    of u', with p_j = <u' Lambda, alpha_j^vee>: the image of the extremal
+    vector u' Lambda.  As B_u(Lambda) = (B_u(infinity) (x) t_Lambda) meet
+    B(Lambda) (Kashiwara, Duke Math. J. 71, 1993) holds u' Lambda exactly when
+    u' <= u modulo W_Lambda (Littelmann, Ann. Math. 142, 1995), B_u passes
+    exactly the cosets below u.  Returns (u, stats), u the minimal
+    representative of the longest passing coset if the passing cosets are
+    those below it, else None, which proves the members are not Demazure.
+    A u says less: the members are B_u if they are Demazure at all.
+    """
+    datum = top.datum
     stats = RecognitionStats()
-    memo: dict[frozenset, int | None] = {}
-    # the letter and the next state of a shortest chain from each state
-    choice: dict[frozenset, tuple[int, frozenset]] = {}
-
-    def solve(state: frozenset) -> int | None:
-        if state == target:
-            return 0
-        if state in memo:
-            return memo[state]
+    probes: dict = {}   # reduced word -> probe
+    passing: dict = {}  # pairings -> reduced word, for the passing cosets
+    for q, word in _subword_closure(datum.cartan, start, bound.rword).items():
+        x = top
+        if word:  # s_j flips the sign of the j-th pairing
+            x = probes[word[1:]]
+            for _ in range(-q[word[0] - 1]):
+                x = x.f(word[0])
+        probes[word] = x
         stats.states += 1
-        memo[state] = None  # growth is strict, so recursion cannot revisit
-        best: int | None = None
-        for i in range(1, datum.n + 1):
-            # a T_i closure is a set: it does not depend on the input order
-            nxt, _ = t_closure(state, i, top_wt, window=window)
-            nxts = frozenset(nxt)
-            if len(nxts) == len(state):
-                continue  # no growth at this window
-            if not nxts <= target:
-                stats.dead_ends += 1
-                continue
-            sub = solve(nxts)
-            if sub is not None and (best is None or sub + 1 < best):
-                best = sub + 1
-                choice[state] = (i, nxts)
-        memo[state] = best
-        return best
-
-    state = frozenset([top])
-    if solve(state) is None:
+        if member(x):
+            passing[q] = word
+    if start not in passing:
         return None, stats
-    applied: list[int] = []
-    while state != target:
-        i, state = choice[state]
-        applied.append(i)
-    y = datum.weyl(tuple(reversed(applied)))
-    if nu_for_coset is not None:
-        y = min_coset_rep(y, nu_for_coset)
-    return y, stats
+    u = max(passing, key=lambda q: len(passing[q]))  # the first of the longest
+    for p in passing:
+        if p != u:
+            stats.dead_ends += sum(1 for j in range(1, datum.n + 1) if p[j - 1] > 0
+                                   and _step(datum.cartan, p, j) not in passing)
+    if _subword_closure(datum.cartan, start, passing[u]).keys() != passing.keys():
+        return None, stats
+    return datum.weyl(passing[u]), stats
 
 
 def u_from_y(y: WeylElement, v_word: Word) -> WeylElement:
-    """Fold the letters of a reduced word back onto y, keeping only the
-    length-increasing left multiplications.
-
-    Walking v_word = (i_1, ..., i_k) from the right, each step replaces the
-    running element u by s_{i_j} u exactly when that is longer.  The result
-    is the element whose Demazure crystal matches the component headed by the
-    primitive that produced y.
+    """The Demazure product v * y for v of the reduced `v_word`: walking it
+    from the right, s_i u replaces u whenever it is longer.  It is the u whose
+    Demazure crystal matches the component headed by the primitive that
+    produced y, and it bounds the u of every component of B_v (x) B_y.
     """
     datum = y.datum
     check_reduced(datum, v_word)
@@ -280,49 +272,6 @@ def u_from_y(y: WeylElement, v_word: Word) -> WeylElement:
 
 # ---------------------------------------------------------------------------
 # components of a tensor product
-
-
-# how far past its first window recognition may widen before giving up
-_MAX_EXTRA = 8
-
-
-def _recognize_component_y(top: Element, member, nu: Coords, *,
-                           base_window: int | None, nu_for_coset: Coords | None,
-                           induced: bool = False):
-    """Recognize the component of `top` in the member set as B_y, with
-    windowed re-checks.
-
-    In the finite case (base_window None) recognition is exact.  Otherwise the
-    candidate found at window W is confirmed by rebuilding both sides one
-    layer deeper; on failure the window widens.  Returns (y, stats, window,
-    walks) with y None when the component is conclusively not a Demazure set:
-    a recognition that would succeed at a deeper window restricts to a
-    success at every shallower one, so a miss needs no retry.  `walks` maps
-    each window walked to the component set built there, for callers that
-    need the same component again.  With `induced` the component is walked
-    along e-steps as well as f-steps, which finds members reachable only
-    through a raising step.
-    """
-    walks: dict[int | None, CrystalSet] = {}
-
-    def build(window):
-        walks[window] = enumerate_from([top], nu, window=window, with_e=induced,
-                                       member=member)
-        return walks[window]
-
-    w_try = base_window
-    while True:
-        y, stats = recognize_demazure(build(w_try), nu_for_coset=nu_for_coset)
-        if y is None or w_try is None:
-            return y, stats, w_try, walks
-        closure, _ = t_word_closure([top], y.rword, nu, window=w_try + 1)
-        if frozenset(closure) == build(w_try + 1).element_set():
-            return y, stats, w_try, walks
-        if w_try - base_window >= _MAX_EXTRA:
-            raise VerificationMismatch(
-                f"recognition unstable: candidate {word_str(y.rword)} at window "
-                f"{w_try} does not persist one layer deeper")
-        w_try += 2
 
 
 class _TensorSetup:
@@ -348,6 +297,7 @@ class _TensorSetup:
         if need_criterion and not holds:
             raise CriterionFails(letters, tuple(sorted(vmin.support() - letters)))
         self.holds, self.letters, self.vmin = holds, letters, vmin
+        self.infinite = infinite
         self.left = demazure_set(straight_path(datum, lam), vmin)
         if infinite:
             oracle = WindowedClosure(binf_top(datum), w.rword)
@@ -362,6 +312,11 @@ class _TensorSetup:
         """Whether x lies in B_{v_min}(lam) (x) B_w(mu or infinity)."""
         return (isinstance(x, TensorPair) and x.left in self.left.index
                 and self.right_member(x.right))
+
+    def probe_start(self, nu: Coords) -> tuple:
+        """The pairings of recognition's Lambda: rho in the B(infinity) mode, nu otherwise."""
+        datum = self.left.datum
+        return tuple(1 if self.infinite else datum.pair(nu, i) for i in range(1, datum.n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +401,6 @@ def decompose_tensor(datum: RootDatum, v: WeylElement, lam: Coords,
     s = _TensorSetup(datum, v, lam, w, mu, depth, need_criterion=True)
     right, xprod = s.right, s.xprod
     b_lam = s.left.top()
-    base_window = max(w.length + 2, 4) if infinite else None
 
     def id_member(x):  # the product's members whose left factor is b_lam
         return isinstance(x, TensorPair) and x.left == b_lam and s.member(x)
@@ -463,13 +417,11 @@ def decompose_tensor(datum: RootDatum, v: WeylElement, lam: Coords,
         d0 = right.depth_of(b)
         nu = vadd(lam, b.wt())
         top = TensorPair(b_lam, b)
-        y, stats, rec_window, _walks = _recognize_component_y(
-            top, id_member, nu, base_window=base_window,
-            nu_for_coset=None if infinite else nu)
+        # the identity component is B_y for some y <= w
+        y, stats = recognize_demazure(top, id_member, s.probe_start(nu), w)
         if y is None:
             raise VerificationMismatch(
-                f"identity component at primitive depth {d0} not recognized as a "
-                f"Demazure set (window {rec_window})")
+                f"identity component at primitive depth {d0} is not a Demazure set")
         backtracked = backtracked or stats.dead_ends > 0
         u = u_from_y(y, s.vmin.rword)
         if not infinite:
@@ -581,34 +533,25 @@ def check_equivalence(datum: RootDatum, v: WeylElement, lam: Coords,
     prims = primitive_elements(right, lam)
     decomposable = "yes"
     witness = ""
-    comps: list[CrystalSet] = []
+    covered: set[Element] = set()
+    vw = u_from_y(w, s.vmin.rword)  # every component is B_u for some u <= v_min * w
+    reach = s.left.max_depth() + w.length + 1  # D_L + l(w) + 1, see the module docstring
     for b in prims:
         d0 = right.depth_of(b)
         nu = vadd(lam, b.wt())
         top = TensorPair(b_lam, b)
-        base_window = max(w.length + s.vmin.length + 2, 4) if infinite else None
-        try:
-            y, _stats, _wnd, walks = _recognize_component_y(
-                top, member, nu, base_window=base_window, nu_for_coset=None,
-                induced=True)
-        except VerificationMismatch as exc:
-            decomposable = "inconclusive"
-            witness = str(exc)
-            continue
-        if y is None:
-            decomposable = "no"
-            witness = f"component of {weight_str(nu)} is not a Demazure set"
-            break
-        w_cmp = depth - d0 if infinite else None
-        if w_cmp in walks:  # recognition already walked this window
-            comps.append(walks[w_cmp])
-        else:
-            comps.append(enumerate_from([top], nu, window=w_cmp, with_e=True,
-                                        member=member))
+        u, _stats = recognize_demazure(top, member, s.probe_start(nu), vw)
+        if u is not None:
+            w_cmp = max(depth - d0, reach) if infinite else None
+            comp = enumerate_from([top], nu, window=w_cmp, with_e=True, member=member)
+            closure, _ = t_word_closure([top], u.rword, nu, window=w_cmp)
+            if comp.element_set() == frozenset(closure):
+                covered.update(comp.elements)
+                continue
+        decomposable = "no"
+        witness = f"component of {weight_str(nu)} is not a Demazure set"
+        break
     if decomposable == "yes":
-        covered: set[Element] = set()
-        for comp in comps:
-            covered.update(comp.elements)
         stray = [x for x in xprod if x not in covered]
         if stray:
             decomposable = "no"

@@ -357,16 +357,23 @@ class RootDatum:
             mat, inv = _mat_mul_int(mat, g), _mat_mul_int(g, inv)
         return WeylElement(self, mat, inv, _strip_word(self, mat))
 
-    @cached_property
+    @property
     def positive_roots(self) -> tuple[RootCoords, ...]:
         """All positive roots, in root coordinates.  Finite type only."""
+        if self._root_walk is None:
+            raise ValueError("positive root enumeration requires finite type")
+        return self._root_walk
+
+    @cached_property
+    def _root_walk(self) -> tuple[RootCoords, ...] | None:
+        """The positive roots, or None off finite type: kept, unlike a raise."""
         simples = [tuple(1 if k == j else 0 for k in range(self.n)) for j in range(self.n)]
         gens = [self._gen_matrix(i) for i in range(1, self.n + 1)]
         seen = set(simples)
         frontier = list(simples)
         while frontier:
             if len(seen) > 4096:
-                raise ValueError("positive root enumeration requires finite type")
+                return None
             nxt = []
             for c in frontier:
                 for g in gens:

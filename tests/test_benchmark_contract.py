@@ -5,7 +5,9 @@ renamed or deleted layer would only show up as a crash of a traced run.
 These checks read perfbench/tracer.py and fail first.
 """
 
+import hashlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,8 @@ import pytest
 import kmcrystals
 import kmcrystals.cli  # noqa: F401  (the benchmark worker imports it too)
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def _tracer():
@@ -38,3 +41,14 @@ def test_public_names_exist():
     missing = [name for name in kmcrystals.__all__ if not hasattr(kmcrystals, name)]
     assert not missing
     assert len(set(kmcrystals.__all__)) == len(kmcrystals.__all__)
+
+
+def test_recorded_digests_reproduce(capsys):
+    # every named benchmark command prints the bytes recorded for it
+    digests = json.loads((PERFBENCH / "expected.json").read_text(encoding="utf-8"))["digests"]
+    assert len(digests) == 8
+    for command, digest in digests.items():
+        argv = command.split(" ")  # an empty word is an empty argument
+        assert kmcrystals.cli.main(argv) == 0, command
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, command

@@ -224,7 +224,7 @@ def test_key_labels_need_finite_type():
         verify_key_positivity(AFFINE_A1, (1, 0, 0), (1, 0, 0))
     # the reflection loop is bounded by the number of positive roots
     datum = preset("A2")
-    vars(datum)["positive_roots"] = ((1, 0),)
+    vars(datum)["_root_walk"] = ((1, 0),)
     assert composition_pair(datum, (-1, 2))[0] == datum.simple(1)
     with pytest.raises(InvariantBroken, match="positive roots"):
         composition_pair(datum, (-1, -1))

@@ -43,14 +43,16 @@ def test_decompose_table(capsys):
 
 
 def test_decompose_table_nu_above_lambda(capsys):
-    # ν = (1,1,1) = λ+α1+α2+α3 lies above λ = ω2: the column adds roots
+    # ν = (1,1,1) = λ+α1+α2+α3 lies above λ = ω2, but every ν lies below the
+    # product's top weight λ+μ, from which the finite-mode column measures
     code, out, _ = run(capsys, "decompose", "--preset", "A3", "--lambda", "ω2",
                        "--v", "2", "--w", "2,1,3,2", "--mu", "1,0,1")
     assert code == 0
+    assert "ν from λ+μ" in out
     rows = {line.split()[2]: line.split()[3] for line in out.splitlines()
             if line.startswith("   ") and line.split()[0].isdigit()}
-    assert rows == {"(1,1,1)": "λ+α1+α2+α3", "(0,0,2)": "λ+α3",
-                    "(2,0,0)": "λ+α1", "(0,1,0)": "λ"}
+    assert rows == {"(1,1,1)": "λ+μ", "(0,0,2)": "λ+μ-α1-α2",
+                    "(2,0,0)": "λ+μ-α2-α3", "(0,1,0)": "λ+μ-α1-α2-α3"}
     assert "--" not in out
 
 
@@ -160,15 +162,21 @@ def test_check_infinity_shallow_windows_agree(capsys):
             "0899ce187cf6533f7595052a32dfa0ab11bee057d70595042240a2d2cfe1ab86"), depth
 
 
-def test_check_infinity_yes_needs_every_primitive(capsys, tmp_path):
+@pytest.fixture
+def g2(tmp_path):
+    """The G2 datum of the README, as a --datum file."""
+    path = tmp_path / "g2.json"
+    path.write_text(json.dumps({"name": "G2", "n": 2, "m": 2,
+                                "cartan": [[2, -1], [-3, 2]],
+                                "roots": [[2, -1], [-3, 2]],
+                                "pairing": [[1, 0], [0, 1]]}))
+    return path
+
+
+def test_check_infinity_yes_needs_every_primitive(capsys, g2):
     # For G2 and λ = ω1, the component that is not Demazure is headed by a
     # primitive at depth 5.  A window above it holds Demazure components only,
     # which is no "yes" below D_λ = 10, the greatest depth of a primitive.
-    g2 = tmp_path / "g2.json"
-    g2.write_text(json.dumps({"name": "G2", "n": 2, "m": 2,
-                              "cartan": [[2, -1], [-3, 2]],
-                              "roots": [[2, -1], [-3, 2]],
-                              "pairing": [[1, 0], [0, 1]]}))
     argv = ("check", "--datum", str(g2), "--lambda", "1,0", "--v", "1",
             "--w", "2,1,2,1,2", "--mode", "infinity", "--format", "json", "--depth")
     code, out, err = run(capsys, *argv, "4")
@@ -184,6 +192,33 @@ def test_check_infinity_yes_needs_every_primitive(capsys, tmp_path):
     assert (row["criterion"], row["extremal"], row["decomposable"]) == (
         False, "violated", "no")
     assert row["witness"] == "component of (0,0) is not a Demazure set"
+
+
+@pytest.mark.parametrize("lam, v, depth", [("1,0", "", "18"), ("1,0", "", "20"),
+                                           ("0,1", "2,1", "14"), ("0,1", "2,1", "16")])
+def test_g2_deepest_component_is_w0(capsys, g2, lam, v, depth):
+    # B_{s2s1s2s1s2}(∞) and B_{w0}(∞) agree down to depth 9, so a search in
+    # shallow windows once named the deepest component s2s1s2s1s2, or failed
+    # to match it deeper down; the probes tell them apart at any depth
+    code, out, err = run(capsys, "decompose", "--datum", str(g2), "--lambda", lam,
+                         "--v", v, "--w", "2,1,2,1,2,1", "--mode", "infinity",
+                         "--depth", depth, "--format", "json")
+    assert code == 0, err
+    comps = json.loads(out)["components"]
+    deepest = max(comps, key=lambda c: c["primitive_depth"])
+    assert deepest["u_word"] == [2, 1, 2, 1, 2, 1]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("--preset", "A1", "--lambda", "ω1", "--v", "1", "--w", "1", "--depth", "4"), False),
+    (("--preset", "A3", "--lambda", "ω2", "--v", "2", "--w", "2,1,3,2", "--depth", "6"), True),
+])
+def test_recognition_backtracked(capsys, argv, flag):
+    # In A1 every identity component is B_e or B_{w0}, and no probe leaves the
+    # passing set before the longest one; the flagship's do
+    code, out, _ = run(capsys, "decompose", *argv, "--mode", "infinity", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["checks"]["recognition_backtracked"] is flag
 
 
 def test_finite_disagreement_still_exits_three(capsys, monkeypatch):

@@ -10,7 +10,6 @@ from kmcrystals.crystals import (TensorPair, enumerate_from, primitive_elements,
                                 set_from_elements, t_closure, t_word_closure)
 from kmcrystals.demazure import (
     CriterionFails,
-    TopNotInSet,
     WindowedClosure,
     check_equivalence,
     closure_product_check,
@@ -26,12 +25,13 @@ from kmcrystals.rootdata import (
     WordNotReduced,
     bruhat_leq,
     check_reduced,
+    min_coset_rep,
     preset,
     validate_root_datum,
     vec,
     weyl_group_elements,
 )
-from sample_data import AFFINE_A1, B2, G2
+from sample_data import AFFINE_A1, B2, C2, G2
 
 A1 = preset("A1")
 A2 = preset("A2")
@@ -268,36 +268,64 @@ def test_peeling_matches_enumeration(datum, words):
 
 
 def test_recognize_three_chain():
-    xset = demazure_set(straight_path(A1, vec((2,))), A1.simple(1))
-    y, stats = recognize_demazure(xset)
+    top = straight_path(A1, vec((2,)))
+    xset = demazure_set(top, A1.simple(1))
+    y, stats = recognize_demazure(top, xset.__contains__, (2,), A1.simple(1))
     assert y == A1.simple(1)
-    assert stats.states >= 1
+    assert (stats.states, stats.dead_ends) == (2, 0)
+    # the probes see only the extremal elements: the top and f_1^2 of it.  A
+    # prefix of the string holding the top alone passes as B_e, which is why
+    # check_equivalence compares each component walk with T_u {top}
     prefix = set_from_elements(list(xset)[:2], vec((2,)))
-    y2, _ = recognize_demazure(prefix)
-    assert y2 is None
+    y2, _ = recognize_demazure(top, prefix.__contains__, (2,), A1.simple(1))
+    assert y2.is_identity
 
 
 def test_recognize_full_crystal():
-    xset = demazure_set(straight_path(A2, vec((1, 1))), A2.weyl((1, 2, 1)))
-    y, _ = recognize_demazure(xset)
-    assert y == A2.weyl((1, 2, 1))
-
-
-def test_recognize_needs_a_top():
-    b = straight_path(A1, vec((2,))).f(1)
-    orphan = set_from_elements([b], vec((2,)))
-    with pytest.raises(TopNotInSet):
-        recognize_demazure(orphan)
+    top = straight_path(A2, vec((1, 1)))
+    w0 = A2.weyl((1, 2, 1))
+    y, stats = recognize_demazure(top, demazure_set(top, w0).__contains__, (1, 1), w0)
+    assert y == w0
+    assert (stats.states, stats.dead_ends) == (6, 0)
 
 
 def test_recognize_coset_normalization():
     om2 = vec((0, 1))
-    xset = demazure_set(straight_path(A2, om2), A2.weyl((1, 2)))
-    y, _ = recognize_demazure(xset, nu_for_coset=om2)
+    top = straight_path(A2, om2)
+    w0 = A2.weyl((1, 2, 1))
+    xset = demazure_set(top, A2.weyl((1, 2)))
+    y, stats = recognize_demazure(top, xset.__contains__, (0, 1), w0)
     assert y == A2.weyl((1, 2))
-    singleton = demazure_set(straight_path(A2, om2), A2.simple(1))
-    y1, _ = recognize_demazure(singleton, nu_for_coset=om2)
+    assert stats.states == 3  # one probe per coset of W / W_{omega_2}
+    singleton = demazure_set(top, A2.simple(1))
+    y1, stats1 = recognize_demazure(top, singleton.__contains__, (0, 1), w0)
     assert y1.is_identity
+    assert stats1.dead_ends == 0  # the failing step up from u itself is no dead end
+
+
+@pytest.mark.parametrize("datum", [A2, B2, C2, G2], ids=lambda d: d.name)
+def test_recognize_every_demazure_crystal(datum):
+    # on the complete B_x(nu), recognition returns the minimal coset
+    # representative of x, for every x in W
+    group = weyl_group_elements(datum)
+    for nu in (vec((1, 1)), vec((1, 0))):
+        top = straight_path(datum, nu)
+        start = tuple(datum.pair(nu, i) for i in range(1, datum.n + 1))
+        for x in group:
+            member = demazure_set(top, x).__contains__
+            y, _ = recognize_demazure(top, member, start, group[-1])
+            assert y == min_coset_rep(x, nu), (nu, x)
+
+
+def test_recognize_rejects_a_union():
+    # B_{s1}(rho) and B_{s2}(rho) together are e-stable but not Demazure: the
+    # probes of e, s1 and s2 pass and no longest element lies above all three
+    top = straight_path(A2, vec((1, 1)))
+    union = (demazure_set(top, A2.simple(1)).element_set()
+             | demazure_set(top, A2.simple(2)).element_set())
+    y, stats = recognize_demazure(top, union.__contains__, (1, 1), A2.weyl((1, 2, 1)))
+    assert y is None
+    assert stats.states == 6
 
 
 def test_u_from_y():
@@ -417,9 +445,27 @@ def test_equivalence_record_infinity():
     assert rec.decomposable == "no" and rec.agree
 
 
+@pytest.mark.parametrize("datum, k", [(A1, 4), (A2, 6)], ids=["A1", "A2"])
+def test_check_certifies_below_the_probes(datum, k):
+    # B_{s1}(k omega_1) (x) B_e(infinity) is the top k+1 elements of an
+    # f_1-string, k layers deep.  Both probes pass, so recognition names s1,
+    # but T_{s1} {top} goes on one layer deeper: only a certification window
+    # past the left factor's depth sees that the component is not Demazure
+    lam = vec((k,) + (0,) * (datum.n - 1))
+    s1, e = datum.simple(1), datum.identity()
+    s = dz._TensorSetup(datum, s1, lam, e, None, k)
+    top = TensorPair(s.left.top(), s.right.top())
+    u, _ = recognize_demazure(top, s.member, s.probe_start(lam), s1)
+    assert u == s1
+    for depth in range(k + 1):
+        rec = check_equivalence(datum, s1, lam, e, None, depth=depth)
+        assert not rec.criterion and rec.decomposable == "no" and rec.agree, depth
+        assert rec.witness.startswith(f"component of ({k}"), depth
+
+
 def test_equivalence_walks_each_component_window_once(monkeypatch):
-    # recognition walks a component at its trial windows; the tiling check
-    # reuses the walk when its own window is one of them
+    # each component is walked once, for its certification and the tiling
+    # check alike
     real = dz.enumerate_from
     walks = []
 

@@ -235,6 +235,28 @@ def test_positive_roots():
     assert len(_g2().positive_roots) == 6
 
 
+def test_positive_roots_fail_once_off_finite_type(monkeypatch):
+    # the root walk runs on the first access only; later ones raise from it
+    walked = []
+    real = kmcrystals.rootdata._mat_vec
+
+    def counted(rows, v):
+        walked.append(v)
+        return real(rows, v)
+
+    monkeypatch.setattr(kmcrystals.rootdata, "_mat_vec", counted)
+    datum = validate_root_datum("A1^(1)", 2, 3, [[2, -2], [-2, 2]],
+                                roots=[(2, -2, 1), (-2, 2, 0)],
+                                pairing=[(1, 0, 0), (0, 1, 0)])
+    with pytest.raises(ValueError, match="finite type"):
+        datum.positive_roots
+    assert len(walked) > 4096
+    walked.clear()
+    with pytest.raises(ValueError, match="finite type"):
+        datum.positive_roots
+    assert walked == []
+
+
 # -- Weyl elements ------------------------------------------------------------
 
 
