@@ -16,8 +16,7 @@ from .crystals import (CrystalSet, Element, ExtremalityVerdict, MismatchWitness,
 from .demazure import (ClosureProductRecord, ComponentReport, CriterionFails,
                        DecompositionReport, EquivalenceRecord,
                        EquivalenceViolation, VerificationMismatch,
-                       WindowTooSmall, WindowedClosure,
-                       check_equivalence, closure_product_check,
+                       WindowedClosure, check_equivalence, closure_product_check,
                        criterion_finite, criterion_infinity, decompose_tensor,
                        demazure_set, recognize_demazure, u_from_y)
 from .paths import NonIntegralPath, PLPath, straight_path
@@ -40,8 +39,8 @@ __all__ = [
     "NonIntegralPath", "NotDominantIntegral", "NotGCM", "NotInSpan",
     "NotSymmetrizable", "PLPath", "PairingInconsistent", "RootDatum",
     "TensorPair", "TruncatedSet",
-    "VerificationMismatch", "WeylElement", "WindowTooSmall",
-    "WindowedClosure", "WordNotReduced", "binf_top", "bruhat_leq",
+    "VerificationMismatch", "WeylElement", "WindowedClosure",
+    "WordNotReduced", "binf_top", "bruhat_leq",
     "char_of_set", "check_equivalence", "check_reduced",
     "closure_product_check", "composition_pair",
     "criterion_finite", "criterion_infinity", "datum_from_json",

@@ -7,9 +7,9 @@ crystal graph, and `keyprod` verifies that character products expand
 positively in keys (Demazure characters) on finite-type data.
 
 Exit codes: 0 success, 1 configuration problems (bad flags, malformed datum,
-non-reduced words, windows too small), 2 the support criterion fails, 3 a
-verification that must hold did not, or an internal check failed (a crystal
-axiom or another invariant of the program; reported without a traceback).
+non-reduced words), 2 the support criterion fails, 3 a verification that must
+hold did not, or an internal check failed (a crystal axiom or another
+invariant of the program; reported without a traceback).
 Output is deterministic: identical invocations produce identical bytes.
 """
 
@@ -22,7 +22,7 @@ import sys
 from .binfinity import binf_top
 from .characters import NotInSpan, verify_key_positivity
 from .demazure import (CriterionFails, EquivalenceViolation,
-                       VerificationMismatch, WindowTooSmall, check_equivalence,
+                       VerificationMismatch, check_equivalence,
                        decompose_tensor, demazure_set)
 from .paths import straight_path
 from .rootdata import (InvariantBroken, NotDominantIntegral, NotGCM,
@@ -32,9 +32,8 @@ from .rootdata import (InvariantBroken, NotDominantIntegral, NotGCM,
                        weight_str, weyl_group_elements, word_str)
 
 _CONFIG_ERRORS = (NotGCM, NotSymmetrizable, PairingInconsistent,
-                  NotDominantIntegral, WordNotReduced, WindowTooSmall,
-                  NotInSpan, ValueError, OSError, KeyError,
-                  json.JSONDecodeError)
+                  NotDominantIntegral, WordNotReduced, NotInSpan, ValueError,
+                  OSError, KeyError, json.JSONDecodeError)
 
 
 class _Parser(argparse.ArgumentParser):

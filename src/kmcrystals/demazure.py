@@ -58,10 +58,6 @@ class CriterionFails(Exception):
             f"{sorted(letters)}")
 
 
-class WindowTooSmall(Exception):
-    """A depth-window comparison failed exactly at the truncation boundary."""
-
-
 class EquivalenceViolation(Exception):
     """Two routes that must agree produced conclusively different answers."""
 
@@ -193,12 +189,7 @@ class RecognitionStats:
     dead_ends: int = 0  # up-steps from a passing coset other than u to one that is not
 
 
-def _step(cartan, p: tuple, j: int) -> tuple:
-    """The pairings of s_j x Lambda from those of x Lambda: p_i - p_j a_ij."""
-    return tuple(pi - p[j - 1] * row[j - 1] for pi, row in zip(p, cartan))
-
-
-def _subword_closure(cartan, start: tuple, word: Word) -> dict:
+def _subword_closure(datum: RootDatum, start: tuple, word: Word) -> dict:
     """The cosets x W_Lambda with x below the element of the reduced `word`:
     the pairings of x Lambda (`start` those of Lambda) map to a reduced word
     of the minimal x, listed after the coset that its first letter steps up
@@ -208,7 +199,7 @@ def _subword_closure(cartan, start: tuple, word: Word) -> dict:
     for j in reversed(word):  # the rightmost letter acts first
         for p, path in list(reached.items()):
             if p[j - 1] > 0:
-                reached.setdefault(_step(cartan, p, j), (j,) + path)
+                reached.setdefault(datum.reflect_pairings(p, j), (j,) + path)
     return reached
 
 
@@ -232,7 +223,7 @@ def recognize_demazure(top: Element, member, start, bound: WeylElement):
     stats = RecognitionStats()
     probes: dict = {}   # reduced word -> probe
     passing: dict = {}  # pairings -> reduced word, for the passing cosets
-    for q, word in _subword_closure(datum.cartan, start, bound.rword).items():
+    for q, word in _subword_closure(datum, start, bound.rword).items():
         x = top
         if word:  # s_j flips the sign of the j-th pairing
             x = probes[word[1:]]
@@ -248,8 +239,8 @@ def recognize_demazure(top: Element, member, start, bound: WeylElement):
     for p in passing:
         if p != u:
             stats.dead_ends += sum(1 for j in range(1, datum.n + 1) if p[j - 1] > 0
-                                   and _step(datum.cartan, p, j) not in passing)
-    if _subword_closure(datum.cartan, start, passing[u]).keys() != passing.keys():
+                                   and datum.reflect_pairings(p, j) not in passing)
+    if _subword_closure(datum, start, passing[u]).keys() != passing.keys():
         return None, stats
     return datum.weyl(passing[u]), stats
 
@@ -457,11 +448,9 @@ def decompose_tensor(datum: RootDatum, v: WeylElement, lam: Coords,
     extra = [x for x in seen if x not in xprod.index]
     partition_ok = not missing and not extra
     if not partition_ok:
-        if infinite and all(
-                datum.weight_drop(xprod.top_wt, x.wt()) >= depth
-                for x in missing + extra):
-            raise WindowTooSmall(
-                f"partition check failed only at the boundary layer {depth}")
+        # Both sides are exact truncations at one absolute depth, and each
+        # component is f-connected from its top through shallower members,
+        # so a gap even at the boundary layer is a fault, not a window
         raise VerificationMismatch(
             f"partition check failed: {len(missing)} uncovered, {len(extra)} stray")
 

@@ -4,8 +4,10 @@ A root datum packages a generalized Cartan matrix A together with a rational
 coordinate realization of the weight lattice: column j of the matrix R holds
 the coordinates of the simple root alpha_j, and row i of the matrix C reads
 off the pairing with the simple coroot alpha_i^vee, so that C @ R == A.  All
-arithmetic is exact: weights are tuples of exact scalars, Weyl group elements
-act on the root lattice through integer matrices, and nothing is ever rounded.
+arithmetic is exact: weights are tuples of exact scalars, and nothing is ever
+rounded.  A Weyl group element w is one integer vector, the pairings
+q = (<w^-1 rho, alpha_i^vee>)_i, stepped by `RootDatum.reflect_pairings`; it
+needs no realization of rho, only the Cartan matrix.
 
 One rule governs every exact scalar (coordinate, pairing, coefficient): it is
 a plain int when it is integral and a Fraction only when its denominator
@@ -36,10 +38,6 @@ Coords = tuple[Scalar, ...]
 RootCoords = tuple[Scalar, ...]
 Word = tuple[int, ...]
 IntMatrix = tuple[tuple[int, ...], ...]
-
-# An element with more reduced-word letters than this in a descent strip is
-# taken as evidence of a corrupted matrix rather than a long affine element.
-_STRIP_CAP = 100_000
 
 
 class NotGCM(ValueError):
@@ -109,16 +107,6 @@ def vscale(c, a: Coords) -> Coords:
 def _dot(a, b) -> Scalar:
     s = sum(x * y for x, y in zip(a, b, strict=True))
     return s if type(s) is int else _exact(s)
-
-
-def _mat_vec(rows, v):
-    return tuple(_dot(r, v) for r in rows)
-
-
-def _mat_mul_int(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    n = len(a)
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
 def _identity_int(n: int) -> IntMatrix:
@@ -279,7 +267,7 @@ class RootDatum:
 
     def root_coords(self, delta: Coords) -> RootCoords | None:
         """Write `delta` in the simple-root basis, or None if outside the span."""
-        c = _mat_vec(self._root_left_inverse, delta)
+        c = tuple(_dot(row, delta) for row in self._root_left_inverse)
         back = vzero(self.m)
         for j, cj in enumerate(c):
             back = vadd(back, vscale(cj, self.roots[j]))
@@ -331,31 +319,27 @@ class RootDatum:
 
     # -- Weyl group ----------------------------------------------------------
 
-    def _gen_matrix(self, i: int) -> IntMatrix:
-        """Action of s_i on root-lattice coordinates: alpha_j -> alpha_j - a_ij alpha_i."""
-        row = self.cartan[i - 1]
-        return tuple(
-            tuple((1 if k == j else 0) - (row[j] if k == i - 1 else 0) for j in range(self.n))
-            for k in range(self.n)
-        )
+    def reflect_pairings(self, p: tuple, i: int) -> tuple:
+        """The pairings of s_i mu from those of mu, p = (<mu, alpha_k^vee>)_k:
+        <s_i mu, alpha_k^vee> = p_k - p_i a_ki."""
+        pi = p[i - 1]
+        return tuple(pk - pi * row[i - 1] for pk, row in zip(p, self.cartan))
 
     def identity(self) -> "WeylElement":
-        eye = _identity_int(self.n)
-        return WeylElement(self, eye, eye, ())
+        return self.weyl(())
 
     def simple(self, i: int) -> "WeylElement":
-        if not 1 <= i <= self.n:
-            raise ValueError(f"simple reflection index {i} out of range 1..{self.n}")
-        g = self._gen_matrix(i)
-        return WeylElement(self, g, g, (i,))
+        return self.weyl((i,))
 
     def weyl(self, word) -> "WeylElement":
         """The element s_{i_1} ... s_{i_k} for word = (i_1, ..., i_k)."""
-        mat = inv = _identity_int(self.n)
-        for i in word:
-            g = self.simple(i).mat
-            mat, inv = _mat_mul_int(mat, g), _mat_mul_int(g, inv)
-        return WeylElement(self, mat, inv, _strip_word(self, mat))
+        word = tuple(word)
+        q = (1,) * self.n  # the pairings of rho
+        for i in word:  # (w s_i)^-1 rho = s_i (w^-1 rho)
+            if not 1 <= i <= self.n:
+                raise ValueError(f"simple reflection index {i} out of range 1..{self.n}")
+            q = self.reflect_pairings(q, i)
+        return WeylElement(self, q, _strip_word(self, q, len(word)))
 
     @property
     def positive_roots(self) -> tuple[RootCoords, ...]:
@@ -368,7 +352,6 @@ class RootDatum:
     def _root_walk(self) -> tuple[RootCoords, ...] | None:
         """The positive roots, or None off finite type: kept, unlike a raise."""
         simples = [tuple(1 if k == j else 0 for k in range(self.n)) for j in range(self.n)]
-        gens = [self._gen_matrix(i) for i in range(1, self.n + 1)]
         seen = set(simples)
         frontier = list(simples)
         while frontier:
@@ -376,8 +359,9 @@ class RootDatum:
                 return None
             nxt = []
             for c in frontier:
-                for g in gens:
-                    img = _mat_vec(g, c)
+                # s_i changes the i-th coordinate alone: c_i - sum_j a_ij c_j
+                for i, row in enumerate(self.cartan):
+                    img = c[:i] + (c[i] - _dot(row, c),) + c[i + 1:]
                     if img not in seen:
                         seen.add(img)
                         nxt.append(img)
@@ -519,17 +503,18 @@ def preset(name: str) -> RootDatum:
 
 @dataclass(frozen=True)
 class WeylElement:
-    """A Weyl group element, identified by its action on the root lattice.
+    """A Weyl group element w, identified by q = (<w^-1 rho, alpha_i^vee>)_i.
 
-    Two elements are equal exactly when their integer matrices (and data)
-    agree, independent of the words that produced them.  `rword` is the
-    canonical reduced word found by descent stripping with smallest-index
-    tie-breaking.
+    rho pairs to 1 with every simple coroot, so it lies inside the
+    fundamental chamber, where stabilisers are trivial: q fixes w in every
+    symmetrizable type (Kac, Infinite-dimensional Lie algebras, 3.11-3.12),
+    whatever word produced it.  q_i = <rho, w alpha_i^vee> is negative
+    exactly when w alpha_i < 0.  `rword` is the canonical reduced word found
+    by descent stripping with smallest-index tie-breaking.
     """
 
     datum: RootDatum
-    mat: IntMatrix
-    inv: IntMatrix = field(compare=False)
+    q: tuple[int, ...]
     rword: Word = field(compare=False)
 
     @property
@@ -543,29 +528,23 @@ class WeylElement:
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if self.datum is not other.datum and self.datum != other.datum:
             raise ValueError("cannot multiply elements over different data")
-        mat = _mat_mul_int(self.mat, other.mat)
-        inv = _mat_mul_int(other.inv, self.inv)
-        return WeylElement(self.datum, mat, inv, _strip_word(self.datum, mat))
+        return self.datum.weyl(self.rword + other.rword)
 
     def right_descent(self, i: int) -> bool:
         """True when l(w s_i) < l(w), i.e. w(alpha_i) < 0."""
-        return _negates(self.mat, i)
+        return self.q[i - 1] < 0
 
     def left_descent(self, i: int) -> bool:
         """True when l(s_i w) < l(w), i.e. w^{-1}(alpha_i) < 0."""
-        return _negates(self.inv, i)
+        return self.inverse().right_descent(i)
 
     def act_weight(self, mu: Coords) -> Coords:
         for i in reversed(self.rword):
             mu = self.datum.reflect_weight(i, mu)
         return mu
 
-    def act_root(self, coeffs: RootCoords) -> RootCoords:
-        return _mat_vec(self.mat, coeffs)
-
     def inverse(self) -> "WeylElement":
-        return WeylElement(self.datum, self.inv, self.mat,
-                           _strip_word(self.datum, self.inv))
+        return self.datum.weyl(self.rword[::-1])
 
     def support(self) -> frozenset[int]:
         return frozenset(self.rword)
@@ -574,27 +553,20 @@ class WeylElement:
         return "e" if not self.rword else "*".join(f"s{i}" for i in self.rword)
 
 
-def _negates(mat: IntMatrix, i: int) -> bool:
-    """Whether the matrix sends alpha_i to a negative root (column i <= 0)."""
-    return all(row[i - 1] <= 0 for row in mat)
-
-
-def _strip_word(datum: RootDatum, mat: IntMatrix) -> Word:
-    """Canonical reduced word by repeatedly removing the smallest right descent."""
-    eye = _identity_int(datum.n)
+def _strip_word(datum: RootDatum, q: tuple, bound: int) -> Word:
+    """Canonical reduced word by repeatedly removing the smallest right
+    descent (q_i < 0) until none is left.  The element came from a word of
+    `bound` letters, so stripping more than that is a fault."""
     rec: list[int] = []
-    cur = mat
-    while cur != eye:
-        if len(rec) > _STRIP_CAP:
-            raise InvariantBroken("descent stripping did not terminate")
-        for i in range(1, datum.n + 1):
-            if _negates(cur, i):
+    while len(rec) <= bound:
+        for i, qi in enumerate(q, 1):
+            if qi < 0:
                 rec.append(i)
-                cur = _mat_mul_int(cur, datum._gen_matrix(i))
+                q = datum.reflect_pairings(q, i)
                 break
         else:
-            raise InvariantBroken("non-identity element with no right descent")
-    return tuple(reversed(rec))
+            return tuple(reversed(rec))
+    raise InvariantBroken("descent stripping outlasted the word")
 
 
 def check_reduced(datum: RootDatum, word) -> WeylElement:
@@ -637,29 +609,26 @@ def min_coset_rep(w: WeylElement, lam: Coords) -> WeylElement:
     """The minimal-length representative of w W_lam for dominant integral lam."""
     letters = sorted(stabilizer_letters(w.datum, lam))
     cur = w
-    changed = True
-    while changed:
-        changed = False
+    while True:
         for i in letters:
             if cur.right_descent(i):
                 cur = cur * w.datum.simple(i)
-                changed = True
                 break
-    return cur
+        else:
+            return cur
 
 
 def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
-    """Bruhat order: for a left descent s of w, u <= w iff min(u, su) <= sw,
-    iterated on inverse matrices and lengths (two products per step)."""
+    """Bruhat order: for a right descent s of w, u <= w iff min(u, us) <= ws,
+    iterated on pairings and lengths (one or two reflections per step)."""
     datum = w.datum
-    uinv, lu, winv, lw = u.inv, u.length, w.inv, w.length
+    qu, lu, qw, lw = u.q, u.length, w.q, w.length
     while lu < lw:
-        i = next(i for i in range(1, datum.n + 1) if _negates(winv, i))
-        g = datum.simple(i).mat
-        if _negates(uinv, i):
-            uinv, lu = _mat_mul_int(uinv, g), lu - 1
-        winv, lw = _mat_mul_int(winv, g), lw - 1
-    return uinv == winv
+        i = next(i for i, x in enumerate(qw, 1) if x < 0)
+        if qu[i - 1] < 0:
+            qu, lu = datum.reflect_pairings(qu, i), lu - 1
+        qw, lw = datum.reflect_pairings(qw, i), lw - 1
+    return qu == qw
 
 
 def weyl_group_elements(datum: RootDatum, cap: int = 50_000) -> list[WeylElement]:

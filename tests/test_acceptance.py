@@ -76,8 +76,8 @@ def test_criterion_1_flagship_decomposition(capsys):
     payload = _run_cli(capsys, A3_ARGS + ["--v", "2"])
     comps = payload["components"]
     assert len(comps) == 6
-    got = Counter((_elt(A3, c["u_word"]).mat, _frac_vec(c["nu"])) for c in comps)
-    want = Counter((_elt(A3, wd).mat, nu) for wd, nu in EXPECTED_UNU)
+    got = Counter((_elt(A3, c["u_word"]), _frac_vec(c["nu"])) for c in comps)
+    want = Counter((_elt(A3, wd), nu) for wd, nu in EXPECTED_UNU)
     assert got == want
     depths = [c["primitive_depth"] for c in comps]
     assert depths == sorted(depths) == [0, 1, 2, 2, 3, 4]
@@ -99,11 +99,11 @@ def test_criterion_2_identity_case_table(capsys):
     payload = _run_cli(capsys, A3_ARGS + ["--v", ""])
     comps = payload["components"]
     assert len(comps) == 6
-    got = Counter(_elt(A3, c["y_word"]).mat for c in comps)
-    want = Counter(_elt(A3, wd).mat for wd in EXPECTED_Y)
+    got = Counter(_elt(A3, c["y_word"]) for c in comps)
+    want = Counter(_elt(A3, wd) for wd in EXPECTED_Y)
     assert got == want
     for c in comps:
-        assert _elt(A3, c["u_word"]).mat == _elt(A3, c["y_word"]).mat
+        assert _elt(A3, c["u_word"]) == _elt(A3, c["y_word"])
     dt = monotonic() - t0
     assert dt < 10
     print(f"criterion 2: PASS — identity-case y table reproduced ({dt:.1f}s)")

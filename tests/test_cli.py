@@ -232,6 +232,19 @@ def test_finite_disagreement_still_exits_three(capsys, monkeypatch):
     assert err.startswith("verification failed: conclusive disagreement")
 
 
+def test_boundary_layer_gap_exits_three(capsys, monkeypatch):
+    # The partition check compares exact truncations at one absolute depth,
+    # so an element no component covers is a fault even in the last layer:
+    # here the product is cut one layer below the components
+    real = demazure.product_set
+    monkeypatch.setattr(demazure, "product_set",
+                        lambda a, b, *, window=None: real(a, b, window=window + 1))
+    code, out, err = run(capsys, "decompose", "--preset", "A2", "--lambda", "ω1",
+                         "--v", "1", "--w", "1", "--mode", "infinity", "--depth", "2")
+    assert code == 3 and out == ""
+    assert err.startswith("verification failed: partition check failed: 1 uncovered")
+
+
 def test_internal_check_failure_exits_three(capsys, monkeypatch):
     # the graph build checks axiom C1 on every path it enumerates
     real = PLPath.phi

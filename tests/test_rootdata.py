@@ -33,6 +33,7 @@ from kmcrystals.rootdata import (
     weyl_group_elements,
     word_str,
 )
+from sample_data import AFFINE_A1, B2, C2, G2
 
 A2 = preset("A2")
 A3 = preset("A3")
@@ -238,13 +239,13 @@ def test_positive_roots():
 def test_positive_roots_fail_once_off_finite_type(monkeypatch):
     # the root walk runs on the first access only; later ones raise from it
     walked = []
-    real = kmcrystals.rootdata._mat_vec
+    real = kmcrystals.rootdata._dot
 
-    def counted(rows, v):
-        walked.append(v)
-        return real(rows, v)
+    def counted(a, b):
+        walked.append(b)
+        return real(a, b)
 
-    monkeypatch.setattr(kmcrystals.rootdata, "_mat_vec", counted)
+    monkeypatch.setattr(kmcrystals.rootdata, "_dot", counted)
     datum = validate_root_datum("A1^(1)", 2, 3, [[2, -2], [-2, 2]],
                                 roots=[(2, -2, 1), (-2, 2, 0)],
                                 pairing=[(1, 0, 0), (0, 1, 0)])
@@ -276,10 +277,9 @@ def test_braid_relations():
     assert g2.weyl((1, 2, 1, 2, 1, 2)) == g2.weyl((2, 1, 2, 1, 2, 1))
 
 
-def test_act_weight_and_root():
+def test_act_weight():
     s1 = A2.simple(1)
     assert s1.act_weight(vec((1, 0))) == vec((-1, 1))
-    assert s1.act_root((Fraction(0), Fraction(1))) == (1, 1)  # s1(a2) = a1 + a2
     w = A2.weyl((1, 2))
     # fold of single reflections, applied right factor first
     mu = vec((2, -1))
@@ -291,6 +291,48 @@ def test_descents():
     assert w.right_descent(2) and not w.right_descent(1)
     assert w.left_descent(1) and not w.left_descent(2)
     assert w.support() == frozenset({1, 2})
+
+
+def _perm(word, n):
+    """One-line notation of s_{i_1} ... s_{i_k} in S_{n+1}: s_i on the right
+    swaps the entries at positions i - 1 and i."""
+    p = list(range(n + 1))
+    for i in word:
+        p[i - 1], p[i] = p[i], p[i - 1]
+    return tuple(p)
+
+
+def test_a3_against_permutations():
+    # equality, length and right descents, checked against S_4 on every word
+    # of length <= 5
+    words = layer = [()]
+    for _ in range(5):
+        layer = [w + (i,) for w in layer for i in (1, 2, 3)]
+        words = words + layer
+    by_perm, by_elt = {}, {}
+    for word in words:
+        w, p = A3.weyl(word), _perm(word, 3)
+        assert by_perm.setdefault(p, w) == w and by_elt.setdefault(w, p) == p, word
+        assert w.length == sum(p[a] > p[b] for a in range(4) for b in range(a + 1, 4))
+        for i in (1, 2, 3):
+            assert w.right_descent(i) == (p[i - 1] > p[i]), (word, i)
+    assert len(by_perm) == len(by_elt) == 23  # all of S_4 but w0, of length 6
+
+
+def test_rank2_group_orders():
+    assert [len(weyl_group_elements(d)) for d in (B2, C2, G2)] == [8, 8, 12]
+
+
+def test_affine_alternating_words_are_reduced_and_distinct():
+    # the Cartan matrix of A1^(1) is singular, and W is infinite dihedral
+    seen = set()
+    for k in range(61):
+        for first, second in ((1, 2), (2, 1)):
+            word = tuple(first if j % 2 == 0 else second for j in range(k))
+            w = AFFINE_A1.weyl(word)
+            assert w.length == k and w.rword == word
+            seen.add(w)
+    assert len(seen) == 1 + 2 * 60
 
 
 def test_check_reduced():
@@ -313,7 +355,7 @@ def test_weyl_group_enumeration():
 
 def test_bruhat_against_subwords():
     # u <= w iff some subsequence of a reduced word of w multiplies to u
-    for datum in (A2, A3):
+    for datum in (A2, A3, B2, G2):
         group = weyl_group_elements(datum)
         for w in group:
             below = set()
